@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Local tier-1 gate — mirrors .github/workflows/ci.yml exactly.
+# The tier-1 gate — the one CI script: .github/workflows/ci.yml runs it
+# after cutting outbound networking.
 #
 # The workspace is hermetic (zero external crates), so every cargo step
 # runs with --offline / CARGO_NET_OFFLINE=true: a step that needs the
@@ -46,7 +47,7 @@ out_tel="$(cargo run --release --offline -q -p scnn-bench --bin repro -- \
       table1 --quick --samples 8 --threads 4 --telemetry "$telemetry_json")"
 diff <(printf '%s' "$out4") <(printf '%s' "$out_tel") \
   || { echo "FAIL: report differs with --telemetry on"; exit 1; }
-cargo run --release --offline -q -p scnn-bench --bin telemetry_lint -- "$telemetry_json" \
+cargo run --release --offline -q -p scnn-bench --bin repro -- lint telemetry "$telemetry_json" \
   || { echo "FAIL: telemetry JSON did not lint"; exit 1; }
 grep -q '"name":"pipeline.train"' "$telemetry_json" \
   || { echo "FAIL: telemetry missing the train phase span"; exit 1; }
@@ -73,9 +74,9 @@ diff <(printf '%s' "$out4") <(printf '%s' "$out_cold") \
 rm -rf "$cache_dir" "$cold_err" "$warm_err"
 
 step "uarch preset zoo lints (strict parse + canonical round-trip)"
-cargo run --release --offline -q -p scnn-bench --bin uarch_lint \
+cargo run --release --offline -q -p scnn-bench --bin repro -- lint uarch \
   || { echo "FAIL: embedded presets did not lint"; exit 1; }
-cargo run --release --offline -q -p scnn-bench --bin uarch_lint -- crates/core/presets/*.json \
+cargo run --release --offline -q -p scnn-bench --bin repro -- lint uarch crates/core/presets/*.json \
   || { echo "FAIL: preset files did not lint"; exit 1; }
 
 step "uarch zoo sweep (>=3 presets, warm rerun skips train/collect, stdout byte-identical)"
@@ -128,7 +129,7 @@ printf '%s' "$out_ex_cold" | grep -q "victim (ground truth)" \
   || { echo "FAIL: extraction output missing the ground-truth line"; exit 1; }
 diff <(printf '%s' "$out_ex_cold") <(printf '%s' "$out_ex_warm") \
   || { echo "FAIL: extraction stdout differs between cold and warm cache runs"; exit 1; }
-cargo run --release --offline -q -p scnn-bench --bin extract_lint -- "$extract_json" \
+cargo run --release --offline -q -p scnn-bench --bin repro -- lint extract "$extract_json" \
   || { echo "FAIL: extraction JSON did not lint"; exit 1; }
 rm -rf "$extract_cache" "$extract_json"
 
@@ -150,7 +151,7 @@ printf '%s' "$out_fr_cold" | grep -q "pareto frontier: [a-z]" \
   || { echo "FAIL: frontier printed an empty Pareto set"; exit 1; }
 diff <(printf '%s' "$out_fr_cold") <(printf '%s' "$out_fr_warm") \
   || { echo "FAIL: frontier stdout differs between cold and warm cache runs"; exit 1; }
-cargo run --release --offline -q -p scnn-bench --bin frontier_lint -- "$frontier_json" \
+cargo run --release --offline -q -p scnn-bench --bin repro -- lint frontier "$frontier_json" \
   || { echo "FAIL: frontier JSON did not lint"; exit 1; }
 rm -rf "$frontier_cache" "$frontier_json"
 

@@ -21,6 +21,10 @@
 //! repro all             # everything above
 //! ```
 //!
+//! Every experiment of one `repro` process runs through one
+//! [`Campaign`]: each victim model trains once, however many arms and
+//! subcommands measure it (see DESIGN.md §17).
+//!
 //! Options (see `repro --help` for the generated page): `--samples <n>`
 //! (measurements per category, default 100), `--quick` (tiny models, for
 //! smoke tests), `--csv <dir>` (additionally write the raw figure/table
@@ -65,14 +69,26 @@
 //! <bytes>` garbage-collects the shared cache down to a size budget
 //! after the run. See DESIGN.md §14 for the protocol and scheduling
 //! semantics.
+//!
+//! # Lint mode
+//!
+//! ```text
+//! repro lint <telemetry|uarch|extract|frontier> [files...]
+//! ```
+//!
+//! `lint` validates the JSON documents the workspace writes (telemetry,
+//! `--out` reports) and reads (`--uarch` configs); with no files, `lint
+//! uarch` checks the embedded preset zoo. Like `serve`, it is not a
+//! service job. See [`scnn_bench::lint`].
 
 use scnn_bench::repro_flags;
 use scnn_cache::ArtifactCache;
 use scnn_core::attack::{AttackClassifier, AttackConfig};
+use scnn_core::campaign::Campaign;
 use scnn_core::countermeasure::Countermeasure;
 use scnn_core::json::ToJson;
 use scnn_core::pipeline::{
-    Architecture, DatasetKind, Experiment, ExperimentConfig, ExperimentOutcome,
+    Architecture, CacheUsage, DatasetKind, ExperimentConfig, ExperimentError, ExperimentOutcome,
 };
 use scnn_core::report::{render_distributions, render_summary};
 use scnn_core::service::{self, CacheTraffic, JobOutput, JobSpec, ServiceConfig, ServiceReport};
@@ -93,14 +109,18 @@ use std::time::Instant;
 /// sink. Direct CLI runs sink to real stdout; `repro serve` sinks each
 /// job to its own buffer **through this same macro and the same Runner
 /// methods**, which is what makes service output byte-identical to a
-/// direct run by construction. Stdout write failures abort like
-/// `println!` would.
+/// direct run by construction. A failed write returns the command's
+/// error.
 macro_rules! o {
-    ($r:expr) => { writeln!($r.out).expect("artefact output write failed") };
-    ($r:expr, $($arg:tt)*) => { writeln!($r.out, $($arg)*).expect("artefact output write failed") };
+    ($r:expr) => { writeln!($r.out).map_err(stdout_error)? };
+    ($r:expr, $($arg:tt)*) => { writeln!($r.out, $($arg)*).map_err(stdout_error)? };
 }
 macro_rules! op {
-    ($r:expr, $($arg:tt)*) => { write!($r.out, $($arg)*).expect("artefact output write failed") };
+    ($r:expr, $($arg:tt)*) => { write!($r.out, $($arg)*).map_err(stdout_error)? };
+}
+
+fn stdout_error(e: std::io::Error) -> Error {
+    Error::io("artefact output", e)
 }
 
 #[derive(Clone)]
@@ -153,33 +173,56 @@ impl Options {
 /// stderr chatter stays on the process stderr in both modes.
 struct Runner<W: Write> {
     options: Options,
-    cache: HashMap<&'static str, ExperimentOutcome>,
-    /// The on-disk artifact cache behind `--cache-dir`, if set. Distinct
-    /// from `cache` above: that one deduplicates within a single `repro`
-    /// process, this one persists across processes (and is shared by
-    /// every job of a `serve` fleet).
-    artifact_cache: Option<ArtifactCache>,
+    /// The main experiment's outcome per dataset, shared by every
+    /// artefact of one `repro` process.
+    outcomes: HashMap<&'static str, ExperimentOutcome>,
+    /// Every experiment and arm of this runner goes through one
+    /// campaign, so each model key trains once per process; its
+    /// `--cache-dir` artifact cache persists models and observations
+    /// across processes (and is shared by every job of a `serve` fleet).
+    campaign: Campaign,
     out: W,
     /// Aggregated artifact-cache traffic across every experiment this
     /// runner executed — reported per job in service mode.
     traffic: CacheTraffic,
 }
 
+/// Distinguishable category pairs of one event in an outcome's report.
+fn leak_pairs(outcome: &ExperimentOutcome, event: HpcEvent) -> usize {
+    outcome
+        .report
+        .event(event)
+        .map(|e| e.pairwise.leak_count())
+        .unwrap_or(0)
+}
+
+/// The default template attack's accuracy as a table cell.
+fn attack_cell(outcome: &ExperimentOutcome) -> String {
+    outcome
+        .mount_attack(&AttackConfig::default())
+        .map(|a| format!("{:.0}%", a.accuracy * 100.0))
+        .unwrap_or_else(|_| "n/a".into())
+}
+
 impl<W: Write> Runner<W> {
-    /// Runs one experiment, through the persistent artifact cache when
-    /// `--cache-dir` is set. Cache chatter goes to stderr only — stdout
-    /// is byte-identical with and without a cache.
-    fn run_experiment(
-        &mut self,
-        label: &str,
-        cfg: ExperimentConfig,
-    ) -> Result<ExperimentOutcome, scnn_core::pipeline::ExperimentError> {
-        let Some(cache) = &self.artifact_cache else {
-            return Experiment::new(cfg).run();
-        };
-        let outcome = Experiment::new(cfg).run_cached(cache)?;
-        let u = outcome.cache;
-        self.traffic.add_usage(&u);
+    fn new(options: Options, cache: Option<&ArtifactCache>, out: W) -> Runner<W> {
+        Runner {
+            options,
+            outcomes: HashMap::new(),
+            campaign: Campaign::new(cache),
+            out,
+            traffic: CacheTraffic::default(),
+        }
+    }
+
+    /// Records one experiment's cache usage when `--cache-dir` is set.
+    /// Cache chatter goes to stderr only — stdout is byte-identical with
+    /// and without a cache.
+    fn note_usage(&mut self, label: &str, u: &CacheUsage) {
+        if self.campaign.cache().is_none() {
+            return;
+        }
+        self.traffic.add_usage(u);
         if u.model_hit {
             eprintln!("[cache] {label}: model hit — training skipped");
         } else {
@@ -192,36 +235,69 @@ impl<W: Write> Runner<W> {
             u.categories_collected,
             u.writes
         );
-        Ok(outcome)
+    }
+
+    /// Runs `(label, config)` arms as one campaign fan-out and returns
+    /// each label with its outcome, in arm order. Each arm is charged for
+    /// its victim fetch, so the first arm of a model key reports the
+    /// training.
+    fn run_arms(
+        &mut self,
+        command: &str,
+        arms: Vec<(String, ExperimentConfig)>,
+    ) -> Result<Vec<(String, ExperimentOutcome)>, Error> {
+        let labels: Vec<String> = arms.iter().map(|(label, _)| label.clone()).collect();
+        let campaign = &self.campaign;
+        let arms = arms.into_iter().map(|(label, cfg)| (cfg, label)).collect();
+        let outcomes = campaign
+            .fan_out("repro.arm", self.options.threads, arms, |arm| {
+                let mut outcome = campaign.experiment(&arm.config)?;
+                outcome.cache.model_hit = arm.fetch.model_hit;
+                outcome.cache.writes += arm.fetch.writes;
+                Ok::<_, ExperimentError>((arm.item, outcome))
+            })
+            .map_err(|(i, e)| Error::msg(format!("{command} arm '{}' failed: {e}", labels[i])))?;
+        for (label, outcome) in &outcomes {
+            self.note_usage(&format!("{command}/{label}"), &outcome.cache);
+        }
+        Ok(outcomes)
     }
 
     /// Ensures the memoised outcome for `dataset` exists and returns its
-    /// key into `self.cache`. Callers index the map themselves
-    /// (`&self.cache[key]`) so the borrow stays on that one field and
+    /// key into `self.outcomes`. Callers index the map themselves
+    /// (`&self.outcomes[key]`) so the borrow stays on that one field and
     /// artefact text can keep flowing to `self.out` alongside it.
-    fn ensure(&mut self, dataset: DatasetKind) -> &'static str {
+    fn ensure(&mut self, dataset: DatasetKind) -> Result<&'static str, Error> {
         let key = match dataset {
             DatasetKind::Mnist => "mnist",
             DatasetKind::Cifar10 => "cifar",
         };
-        #[allow(clippy::map_entry)]
-        if !self.cache.contains_key(key) {
+        if !self.outcomes.contains_key(key) {
             let t0 = Instant::now();
             eprintln!(
                 "[repro] running {dataset} experiment (train + {} measurements/category)…",
                 self.options.samples
             );
             let outcome = self
-                .run_experiment(key, self.options.config(dataset))
-                .unwrap_or_else(|e| panic!("{dataset} experiment failed: {e}"));
+                .campaign
+                .experiment(&self.options.config(dataset))
+                .map_err(|e| Error::msg(format!("{dataset} experiment failed: {e}")))?;
+            self.note_usage(key, &outcome.cache);
             eprintln!(
                 "[repro] {dataset} done in {:.1?} (CNN test accuracy {:.1}%)",
                 t0.elapsed(),
                 outcome.test_accuracy * 100.0
             );
-            self.cache.insert(key, outcome);
+            self.outcomes.insert(key, outcome);
         }
-        key
+        Ok(key)
+    }
+
+    /// Writes a command's title between two rules.
+    fn banner(&mut self, title: &str) -> Result<(), Error> {
+        let rule = "=".repeat(62);
+        o!(self, "{rule}\n{title}\n{rule}");
+        Ok(())
     }
 
     /// Writes one CSV file into the `--csv` directory, if set.
@@ -247,12 +323,12 @@ impl<W: Write> Runner<W> {
     }
 
     /// Raw per-measurement series of one experiment as CSV rows.
-    fn csv_observations(&mut self, dataset: DatasetKind, file: &str) {
+    fn csv_observations(&mut self, dataset: DatasetKind, file: &str) -> Result<(), Error> {
         if self.options.csv.is_none() {
-            return;
+            return Ok(());
         }
-        let key = self.ensure(dataset);
-        let outcome = &self.cache[key];
+        let key = self.ensure(dataset)?;
+        let outcome = &self.outcomes[key];
         let mut rows = Vec::new();
         for obs in &outcome.observations {
             for (event, series) in &obs.per_event {
@@ -268,25 +344,18 @@ impl<W: Write> Runner<W> {
             }
         }
         self.write_csv(file, "dataset,category,event,measurement,value", &rows);
+        Ok(())
     }
 
-    fn fig1(&mut self) {
-        o!(
-            self,
-            "=============================================================="
-        );
-        o!(self, "Figure 1: average cache-misses during classification");
-        o!(
-            self,
-            "=============================================================="
-        );
+    fn fig1(&mut self) -> Result<(), Error> {
+        self.banner("Figure 1: average cache-misses during classification")?;
         for dataset in [DatasetKind::Mnist, DatasetKind::Cifar10] {
             let panel = match dataset {
                 DatasetKind::Mnist => "(a) MNIST",
                 DatasetKind::Cifar10 => "(b) CIFAR-10",
             };
-            let key = self.ensure(dataset);
-            let outcome = &self.cache[key];
+            let key = self.ensure(dataset)?;
+            let outcome = &self.outcomes[key];
             o!(self, "\n--- Figure 1{panel} ---");
             op!(
                 self,
@@ -313,21 +382,11 @@ impl<W: Write> Runner<W> {
             self.write_csv(file, "dataset,category,mean_cache_misses,std", &rows);
         }
         o!(self);
+        Ok(())
     }
 
-    fn fig2b(&mut self) {
-        o!(
-            self,
-            "=============================================================="
-        );
-        o!(
-            self,
-            "Figure 2(b): HPC events of a single MNIST classification"
-        );
-        o!(
-            self,
-            "=============================================================="
-        );
+    fn fig2b(&mut self) -> Result<(), Error> {
+        self.banner("Figure 2(b): HPC events of a single MNIST classification")?;
         let cfg = self.options.config(DatasetKind::Mnist);
         let image = scnn_data::mnist_synth::generate(
             &scnn_data::mnist_synth::MnistSynthConfig {
@@ -336,43 +395,33 @@ impl<W: Write> Runner<W> {
                 ..Default::default()
             },
             7,
-        )
-        .expect("generator is infallible for valid configs")
+        )?
         .get(0)
         .map(|(img, _)| img.clone())
-        .expect("per_class = 1 yields an image");
+        .ok_or_else(|| Error::msg("per_class = 1 yields no image"))?;
         // One trained model, one classification, all eight events at once.
-        let key = self.ensure(DatasetKind::Mnist);
-        let outcome = &self.cache[key];
-        let pmu = SimulatedPmu::new(cfg.pmu, 0x000F_162B).expect("default geometry is valid");
-        let group = CounterGroup::new(HpcEvent::FIG2B.to_vec(), 8).expect("8 distinct events");
+        let key = self.ensure(DatasetKind::Mnist)?;
+        let outcome = &self.outcomes[key];
+        let pmu = SimulatedPmu::new(cfg.pmu, 0x000F_162B)?;
+        let group = CounterGroup::new(HpcEvent::FIG2B.to_vec(), 8)?;
         let mut session = PerfStat::new(pmu, group);
         let net = &outcome.network;
-        let report = session
-            .stat(&mut |probe| {
-                let _ = net.classify_traced(&image, probe);
-            })
-            .expect("simulated measurement cannot fail");
+        let report = session.stat(&mut |probe| {
+            let _ = net.classify_traced(&image, probe);
+        })?;
         o!(self, "{report}");
+        Ok(())
     }
 
-    fn distributions(&mut self, dataset: DatasetKind) {
+    fn distributions(&mut self, dataset: DatasetKind) -> Result<(), Error> {
         let (figure, name) = match dataset {
             DatasetKind::Mnist => ("Figure 3", "MNIST"),
             DatasetKind::Cifar10 => ("Figure 4", "CIFAR-10"),
         };
-        o!(
-            self,
-            "=============================================================="
-        );
-        o!(self, "{figure}: per-category HPC distributions, {name}");
-        o!(
-            self,
-            "=============================================================="
-        );
+        self.banner(&format!("{figure}: per-category HPC distributions, {name}"))?;
         {
-            let key = self.ensure(dataset);
-            let outcome = &self.cache[key];
+            let key = self.ensure(dataset)?;
+            let outcome = &self.outcomes[key];
             for (panel, event) in [("a", HpcEvent::CacheMisses), ("b", HpcEvent::Branches)] {
                 o!(self, "\n--- {figure}({panel}): {event} ---");
                 op!(self, "{}", render_summary(&outcome.observations, event));
@@ -387,29 +436,21 @@ impl<W: Write> Runner<W> {
             DatasetKind::Mnist => "fig3_mnist_observations.csv",
             DatasetKind::Cifar10 => "fig4_cifar_observations.csv",
         };
-        self.csv_observations(dataset, file);
+        self.csv_observations(dataset, file)?;
         o!(self);
+        Ok(())
     }
 
-    fn table(&mut self, dataset: DatasetKind) {
+    fn table(&mut self, dataset: DatasetKind) -> Result<(), Error> {
         let (table, name) = match dataset {
             DatasetKind::Mnist => ("Table 1", "MNIST"),
             DatasetKind::Cifar10 => ("Table 2", "CIFAR-10"),
         };
-        o!(
-            self,
-            "=============================================================="
-        );
-        o!(
-            self,
+        self.banner(&format!(
             "{table}: pairwise t-tests, {name} (* = distinguishable at 95%)"
-        );
-        o!(
-            self,
-            "=============================================================="
-        );
-        let key = self.ensure(dataset);
-        let outcome = &self.cache[key];
+        ))?;
+        let key = self.ensure(dataset)?;
+        let outcome = &self.outcomes[key];
         op!(self, "{}", outcome.report.render_table());
 
         // Rank-test cross-check (robustness extension).
@@ -428,21 +469,11 @@ impl<W: Write> Runner<W> {
             }
         }
         o!(self);
+        Ok(())
     }
 
-    fn attack(&mut self) {
-        o!(
-            self,
-            "=============================================================="
-        );
-        o!(
-            self,
-            "Extension A: input-category recovery from HPC readings"
-        );
-        o!(
-            self,
-            "=============================================================="
-        );
+    fn attack(&mut self) -> Result<(), Error> {
+        self.banner("Extension A: input-category recovery from HPC readings")?;
         // `--classifier` narrows the panel to one entry; the default
         // three-classifier stdout stays byte-identical when it is absent.
         let arms: Vec<(String, AttackClassifier)> = match self.options.classifier {
@@ -457,8 +488,8 @@ impl<W: Write> Runner<W> {
             ],
         };
         for dataset in [DatasetKind::Mnist, DatasetKind::Cifar10] {
-            let key = self.ensure(dataset);
-            let outcome = &self.cache[key];
+            let key = self.ensure(dataset)?;
+            let outcome = &self.outcomes[key];
             o!(self, "\n--- {dataset} ---");
             for (label, classifier) in &arms {
                 match outcome.mount_attack(&self.attack_config().classifier(*classifier)) {
@@ -471,6 +502,7 @@ impl<W: Write> Runner<W> {
             }
         }
         o!(self);
+        Ok(())
     }
 
     /// The attack parameters shared by every classifier panel:
@@ -482,36 +514,17 @@ impl<W: Write> Runner<W> {
         }
     }
 
-    /// Unlike the panicking artefact methods above, extraction returns
-    /// its errors: an out-of-range `--profile-frac` is a user mistake
-    /// (rejected by [`AttackConfig`]-style builder validation inside
-    /// `run_extract`), not a broken experiment.
     fn extract(&mut self) -> Result<(), Error> {
-        o!(
-            self,
-            "=============================================================="
-        );
-        o!(
-            self,
-            "Extension H: architecture extraction from per-layer traces"
-        );
-        o!(
-            self,
-            "=============================================================="
-        );
+        self.banner("Extension H: architecture extraction from per-layer traces")?;
         o!(self,
             "(the paper's reverse-engineering threat taken to its conclusion:\n per-layer HPC windows reconstruct the victim's architecture;\n see DESIGN.md §15)\n"
         );
         let cfg = self.options.config(DatasetKind::Mnist);
         let frac = self.options.profile_frac.unwrap_or(0.75);
-        let outcome = scnn_core::extract::run_extract(
-            &cfg,
-            frac,
-            self.options.dummy_events,
-            self.options.threads,
-            self.artifact_cache.as_ref(),
-        )
-        .map_err(|e| Error::msg(format!("extraction campaign failed: {e}")))?;
+        let outcome = self
+            .campaign
+            .extract(&cfg, frac, self.options.dummy_events, self.options.threads)
+            .map_err(|e| Error::msg(format!("extraction campaign failed: {e}")))?;
         for row in &outcome.rows {
             if row.trace_cache_hit {
                 eprintln!("[cache] extract/{}: trace corpus from cache", row.arm);
@@ -573,16 +586,8 @@ impl<W: Write> Runner<W> {
         Ok(())
     }
 
-    fn ablation(&mut self) {
-        o!(
-            self,
-            "=============================================================="
-        );
-        o!(self, "Extension B: countermeasure ablation (MNIST)");
-        o!(
-            self,
-            "=============================================================="
-        );
+    fn ablation(&mut self) -> Result<(), Error> {
+        self.banner("Extension B: countermeasure ablation (MNIST)")?;
         let base = self.options.config(DatasetKind::Mnist);
         let dummy_events = self.options.dummy_events;
         let arms: Vec<(String, Option<Countermeasure>)> = vec![
@@ -608,51 +613,33 @@ impl<W: Write> Runner<W> {
             "br pairs*",
             "attack"
         );
-        for (label, cm) in arms {
-            let mut cfg = base.clone();
-            cfg.countermeasure = cm;
-            let outcome = self
-                .run_experiment(&format!("ablation/{label}"), cfg)
-                .unwrap_or_else(|e| panic!("ablation arm '{label}' failed: {e}"));
-            let pairs = |event| {
-                outcome
-                    .report
-                    .event(event)
-                    .map(|e| e.pairwise.leak_count())
-                    .unwrap_or(0)
-            };
-            let attack = outcome
-                .mount_attack(&AttackConfig::default())
-                .map(|a| format!("{:.0}%", a.accuracy * 100.0))
-                .unwrap_or_else(|_| "n/a".into());
+        let arms: Vec<(String, ExperimentConfig)> = arms
+            .into_iter()
+            .map(|(label, cm)| {
+                let mut cfg = base.clone();
+                cfg.countermeasure = cm;
+                (label, cfg)
+            })
+            .collect();
+        for (label, outcome) in &self.run_arms("ablation", arms)? {
             o!(
                 self,
                 "{:<40} {:>10}/6 {:>10}/6 {:>10}",
                 label,
-                pairs(HpcEvent::CacheMisses),
-                pairs(HpcEvent::Branches),
-                attack
+                leak_pairs(outcome, HpcEvent::CacheMisses),
+                leak_pairs(outcome, HpcEvent::Branches),
+                attack_cell(outcome)
             );
         }
         o!(
             self,
             "\n(* category pairs distinguishable at 95% confidence)\n"
         );
+        Ok(())
     }
 
-    fn events(&mut self) {
-        o!(
-            self,
-            "=============================================================="
-        );
-        o!(
-            self,
-            "Extension D: leakage per HPC event, cold vs warm measurement"
-        );
-        o!(
-            self,
-            "=============================================================="
-        );
+    fn events(&mut self) -> Result<(), Error> {
+        self.banner("Extension D: leakage per HPC event, cold vs warm measurement")?;
         o!(self,
             "(the paper's §5.2: \"we observed that some of the events can\n produce different distributions for different categories\")\n"
         );
@@ -663,45 +650,42 @@ impl<W: Write> Runner<W> {
             "cold-start",
             "warm-attach"
         );
-        let mut rows: Vec<(String, usize, usize)> = Vec::new();
-        for warmup in [WarmupPolicy::ColdStart, WarmupPolicy::Warm] {
-            let mut cfg = self.options.config(DatasetKind::Mnist);
-            cfg.collection.events = HpcEvent::FIG2B.to_vec();
-            cfg.pmu.warmup = warmup;
-            let outcome = self
-                .run_experiment(&format!("events/{warmup:?}"), cfg)
-                .unwrap_or_else(|e| panic!("events experiment ({warmup:?}) failed: {e}"));
-            for ev in &outcome.report.per_event {
-                let count = ev.pairwise.leak_count();
-                match warmup {
-                    WarmupPolicy::ColdStart => {
-                        rows.push((ev.event.perf_name().to_owned(), count, 0));
-                    }
-                    WarmupPolicy::Warm => {
-                        if let Some(row) = rows.iter_mut().find(|r| r.0 == ev.event.perf_name()) {
-                            row.2 = count;
-                        }
-                    }
-                }
-            }
-        }
-        rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        let arms = [WarmupPolicy::ColdStart, WarmupPolicy::Warm]
+            .into_iter()
+            .map(|warmup| {
+                let mut cfg = self.options.config(DatasetKind::Mnist);
+                cfg.collection.events = HpcEvent::FIG2B.to_vec();
+                cfg.pmu.warmup = warmup;
+                (format!("{warmup:?}"), cfg)
+            })
+            .collect();
+        let outcomes = self.run_arms("events", arms)?;
+        let (cold, warm) = (&outcomes[0].1, &outcomes[1].1);
+        let mut rows: Vec<(&str, usize, usize)> = cold
+            .report
+            .per_event
+            .iter()
+            .map(|ev| {
+                let name = ev.event.perf_name();
+                let warm_count = warm
+                    .report
+                    .per_event
+                    .iter()
+                    .find(|w| w.event.perf_name() == name)
+                    .map_or(0, |w| w.pairwise.leak_count());
+                (name, ev.pairwise.leak_count(), warm_count)
+            })
+            .collect();
+        rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
         for (name, cold, warm) in rows {
             o!(self, "{:<24} {:>14}/6 {:>14}/6", name, cold, warm);
         }
         o!(self, "\n(pairs distinguishable at 95%; warm-attach = perf stat -p on a\n long-running service, caches staying warm between classifications)\n");
+        Ok(())
     }
 
-    fn archs(&mut self) {
-        o!(
-            self,
-            "=============================================================="
-        );
-        o!(self, "Extension F: victim architecture comparison (MNIST)");
-        o!(
-            self,
-            "=============================================================="
-        );
+    fn archs(&mut self) -> Result<(), Error> {
+        self.banner("Extension F: victim architecture comparison (MNIST)")?;
         o!(self,
             "(the paper's future work: \"explore the vulnerabilities in other\n deep learning models\")\n"
         );
@@ -714,60 +698,42 @@ impl<W: Write> Runner<W> {
             "br pairs*",
             "attack"
         );
-        for (name, arch) in [("CNN", Architecture::Cnn), ("MLP", Architecture::Mlp)] {
-            let mut cfg = self.options.config(DatasetKind::Mnist);
-            cfg.architecture = arch;
-            let outcome = self
-                .run_experiment(&format!("archs/{name}"), cfg)
-                .unwrap_or_else(|e| panic!("architecture arm '{name}' failed: {e}"));
-            let pairs = |event| {
-                outcome
-                    .report
-                    .event(event)
-                    .map(|e| e.pairwise.leak_count())
-                    .unwrap_or(0)
-            };
-            let attack = outcome
-                .mount_attack(&AttackConfig::default())
-                .map(|a| format!("{:.0}%", a.accuracy * 100.0))
-                .unwrap_or_else(|_| "n/a".into());
+        let arms = [("CNN", Architecture::Cnn), ("MLP", Architecture::Mlp)]
+            .into_iter()
+            .map(|(name, arch)| {
+                let mut cfg = self.options.config(DatasetKind::Mnist);
+                cfg.architecture = arch;
+                (name.to_owned(), cfg)
+            })
+            .collect();
+        for (name, outcome) in &self.run_arms("archs", arms)? {
             o!(
                 self,
                 "{:<12} {:>9.1}% {:>10}/6 {:>10}/6 {:>10}",
                 name,
                 outcome.test_accuracy * 100.0,
-                pairs(HpcEvent::CacheMisses),
-                pairs(HpcEvent::Branches),
-                attack
+                leak_pairs(outcome, HpcEvent::CacheMisses),
+                leak_pairs(outcome, HpcEvent::Branches),
+                attack_cell(outcome)
             );
         }
         o!(
             self,
             "\n(* category pairs distinguishable at 95% confidence)\n"
         );
+        Ok(())
     }
 
-    fn uarch(&mut self) {
+    fn uarch(&mut self) -> Result<(), Error> {
         use scnn_uarch::{CacheConfig, PredictorKind, PrefetcherKind};
 
-        o!(
-            self,
-            "=============================================================="
-        );
-        o!(
-            self,
-            "Extension E: microarchitectural ablation (MNIST, cache-misses)"
-        );
-        o!(
-            self,
-            "=============================================================="
-        );
+        self.banner("Extension E: microarchitectural ablation (MNIST, cache-misses)")?;
         o!(
             self,
             "does the leak depend on the platform's microarchitecture?\n"
         );
         let base = self.options.config(DatasetKind::Mnist);
-        let mut arms: Vec<(String, scnn_core::pipeline::ExperimentConfig)> = Vec::new();
+        let mut arms: Vec<(String, ExperimentConfig)> = Vec::new();
 
         let mut cfg = base.clone();
         cfg.pmu.core = scnn_uarch::CoreConfig::xeon_e5_2690();
@@ -805,49 +771,39 @@ impl<W: Write> Runner<W> {
             "cm pairs*",
             "br pairs*"
         );
-        for (name, cfg) in arms {
-            let outcome = self
-                .run_experiment(&format!("uarch/{name}"), cfg)
-                .unwrap_or_else(|e| panic!("uarch arm '{name}' failed: {e}"));
-            let pairs = |event| {
-                outcome
-                    .report
-                    .event(event)
-                    .map(|e| e.pairwise.leak_count())
-                    .unwrap_or(0)
-            };
+        for (name, outcome) in &self.run_arms("uarch", arms)? {
             o!(
                 self,
                 "{:<34} {:>10}/6 {:>10}/6",
                 name,
-                pairs(HpcEvent::CacheMisses),
-                pairs(HpcEvent::Branches)
+                leak_pairs(outcome, HpcEvent::CacheMisses),
+                leak_pairs(outcome, HpcEvent::Branches)
             );
         }
         o!(self, "\n(* category pairs distinguishable at 95% confidence; the leak\n   is robust to platform details — it lives in the software)\n");
+        Ok(())
     }
 
-    fn noise(&mut self) {
-        o!(
-            self,
-            "=============================================================="
-        );
-        o!(
-            self,
-            "Extension C: leakage vs noise level and sample count (MNIST)"
-        );
-        o!(
-            self,
-            "=============================================================="
-        );
+    fn noise(&mut self) -> Result<(), Error> {
+        self.banner("Extension C: leakage vs noise level and sample count (MNIST)")?;
         let base = self.options.config(DatasetKind::Mnist);
-        let pairs_of = |outcome: &ExperimentOutcome, event| {
-            outcome
-                .report
-                .event(event)
-                .map(|e| e.pairwise.leak_count())
-                .unwrap_or(0)
-        };
+        const LEVELS: [f64; 5] = [0.0, 0.5, 1.0, 2.0, 4.0];
+        const SAMPLES: [usize; 4] = [10, 25, 50, 100];
+        // Both sweeps are one campaign: noise levels first, then sample
+        // counts.
+        let mut arms: Vec<(String, ExperimentConfig)> = Vec::new();
+        for level in LEVELS {
+            let mut cfg = base.clone();
+            cfg.pmu.noise = cfg.pmu.noise.scaled(level);
+            arms.push((format!("noise-{level:.1}x"), cfg));
+        }
+        for samples in SAMPLES {
+            let mut cfg = base.clone();
+            cfg.collection.samples_per_category = samples;
+            arms.push((format!("samples-{samples}"), cfg));
+        }
+        let outcomes = self.run_arms("noise", arms)?;
+        let (by_level, by_samples) = outcomes.split_at(LEVELS.len());
 
         o!(
             self,
@@ -861,18 +817,13 @@ impl<W: Write> Runner<W> {
             "cm pairs*",
             "br pairs*"
         );
-        for level in [0.0, 0.5, 1.0, 2.0, 4.0] {
-            let mut cfg = base.clone();
-            cfg.pmu.noise = cfg.pmu.noise.scaled(level);
-            let outcome = self
-                .run_experiment(&format!("noise/noise-{level:.1}x"), cfg)
-                .unwrap_or_else(|e| panic!("noise sweep level {level} failed: {e}"));
+        for (level, (_, outcome)) in LEVELS.iter().zip(by_level) {
             o!(
                 self,
                 "{:<14} {:>12}/6 {:>12}/6",
                 format!("{level:.1}x"),
-                pairs_of(&outcome, HpcEvent::CacheMisses),
-                pairs_of(&outcome, HpcEvent::Branches)
+                leak_pairs(outcome, HpcEvent::CacheMisses),
+                leak_pairs(outcome, HpcEvent::Branches)
             );
         }
 
@@ -884,39 +835,24 @@ impl<W: Write> Runner<W> {
             "cm pairs*",
             "br pairs*"
         );
-        for samples in [10, 25, 50, 100] {
-            let mut cfg = base.clone();
-            cfg.collection.samples_per_category = samples;
-            let outcome = self
-                .run_experiment(&format!("noise/samples-{samples}"), cfg)
-                .unwrap_or_else(|e| panic!("sample sweep n={samples} failed: {e}"));
+        for (samples, (_, outcome)) in SAMPLES.iter().zip(by_samples) {
             o!(
                 self,
                 "{:<14} {:>12}/6 {:>12}/6",
                 samples,
-                pairs_of(&outcome, HpcEvent::CacheMisses),
-                pairs_of(&outcome, HpcEvent::Branches)
+                leak_pairs(outcome, HpcEvent::CacheMisses),
+                leak_pairs(outcome, HpcEvent::Branches)
             );
         }
         o!(
             self,
             "\n(* category pairs distinguishable at 95% confidence)\n"
         );
+        Ok(())
     }
 
-    fn sweep(&mut self) {
-        o!(
-            self,
-            "=============================================================="
-        );
-        o!(
-            self,
-            "Extension G: t-test evaluation across the microarchitecture zoo"
-        );
-        o!(
-            self,
-            "=============================================================="
-        );
+    fn sweep(&mut self) -> Result<(), Error> {
+        self.banner("Extension G: t-test evaluation across the microarchitecture zoo")?;
         o!(
             self,
             "(MNIST; one row per simulated platform, same model and seeds)\n"
@@ -926,16 +862,13 @@ impl<W: Write> Runner<W> {
         for preset in &zoo {
             eprintln!("[sweep] preset {}: {}", preset.name, preset.description);
         }
-        let outcome = scnn_core::sweep::run_sweep(
-            &base,
-            &zoo,
-            self.options.threads,
-            self.artifact_cache.as_ref(),
-        )
-        .unwrap_or_else(|e| panic!("uarch sweep failed: {e}"));
+        let outcome = self
+            .campaign
+            .sweep(&base, &zoo, self.options.threads)
+            .map_err(|e| Error::msg(format!("uarch sweep failed: {e}")))?;
         for row in &outcome.rows {
             let u = row.cache;
-            if self.artifact_cache.is_some() {
+            if self.campaign.cache().is_some() {
                 self.traffic.add_usage(&u);
             }
             eprintln!(
@@ -968,26 +901,15 @@ impl<W: Write> Runner<W> {
             &rows,
         );
         if let Some(path) = &self.options.out {
-            match std::fs::write(path, outcome.to_json()) {
-                Ok(()) => eprintln!("[sweep] wrote {}", path.display()),
-                Err(e) => panic!("cannot write --out {}: {e}", path.display()),
-            }
+            std::fs::write(path, outcome.to_json())
+                .map_err(|e| Error::io(path.display().to_string(), e))?;
+            eprintln!("[sweep] wrote {}", path.display());
         }
+        Ok(())
     }
 
     fn frontier(&mut self) -> Result<(), Error> {
-        o!(
-            self,
-            "=============================================================="
-        );
-        o!(
-            self,
-            "Extension I: countermeasure leakage-vs-overhead frontier"
-        );
-        o!(
-            self,
-            "=============================================================="
-        );
+        self.banner("Extension I: countermeasure leakage-vs-overhead frontier")?;
         o!(self,
             "(MNIST; every countermeasure arm against both adversaries — the\n pairwise-t-test evaluator and architecture extraction — priced in\n simulated cycles relative to the unprotected baseline; see DESIGN.md §16)\n"
         );
@@ -998,16 +920,13 @@ impl<W: Write> Runner<W> {
             target_t: self.options.target_t,
             profile_fraction: self.options.profile_frac.unwrap_or(0.6),
         };
-        let outcome = scnn_core::run_frontier(
-            &base,
-            &opts,
-            self.options.threads,
-            self.artifact_cache.as_ref(),
-        )
-        .map_err(|e| Error::msg(format!("frontier campaign failed: {e}")))?;
+        let outcome = self
+            .campaign
+            .frontier(&base, &opts, self.options.threads)
+            .map_err(|e| Error::msg(format!("frontier campaign failed: {e}")))?;
         for row in &outcome.rows {
             let u = row.cache;
-            if self.artifact_cache.is_some() {
+            if self.campaign.cache().is_some() {
                 self.traffic.add_usage(&u);
             }
             eprintln!(
@@ -1088,34 +1007,35 @@ impl<W: Write> Runner<W> {
             "table1" => self.table(DatasetKind::Mnist),
             "table2" => self.table(DatasetKind::Cifar10),
             "attack" => self.attack(),
-            "extract" => self.extract()?,
+            "extract" => self.extract(),
             "ablation" => self.ablation(),
             "noise" => self.noise(),
             "events" => self.events(),
             "uarch" => self.uarch(),
             "archs" => self.archs(),
             "sweep" => self.sweep(),
-            "frontier" => self.frontier()?,
+            "frontier" => self.frontier(),
             "all" => {
-                self.fig1();
-                self.fig2b();
-                self.distributions(DatasetKind::Mnist);
-                self.distributions(DatasetKind::Cifar10);
-                self.table(DatasetKind::Mnist);
-                self.table(DatasetKind::Cifar10);
-                self.attack();
+                self.fig1()?;
+                self.fig2b()?;
+                self.distributions(DatasetKind::Mnist)?;
+                self.distributions(DatasetKind::Cifar10)?;
+                self.table(DatasetKind::Mnist)?;
+                self.table(DatasetKind::Cifar10)?;
+                self.attack()?;
                 self.extract()?;
-                self.ablation();
-                self.noise();
-                self.events();
-                self.uarch();
-                self.archs();
-                self.sweep();
-                self.frontier()?;
+                self.ablation()?;
+                self.noise()?;
+                self.events()?;
+                self.uarch()?;
+                self.archs()?;
+                self.sweep()?;
+                self.frontier()
             }
-            other => return Err(Error::msg(format!("unknown command {other:?}"))),
+            other => Err(Error::msg(format!(
+                "unknown command {other:?} (see repro --help)"
+            ))),
         }
-        Ok(())
     }
 }
 
@@ -1237,13 +1157,7 @@ fn run_job(
         }
         options.target_t = t;
     }
-    let mut runner = Runner {
-        options,
-        cache: HashMap::new(),
-        artifact_cache: cache.cloned(),
-        out: Vec::new(),
-        traffic: CacheTraffic::default(),
-    };
+    let mut runner = Runner::new(options, cache, Vec::new());
     runner
         .run_command(&spec.command)
         .map_err(|e| e.to_string())?;
@@ -1424,6 +1338,16 @@ fn run() -> Result<(), Error> {
         print!("{}", flags.help());
         return Ok(());
     }
+    // `lint` checks files, not experiments: like `serve`, it is never a
+    // Runner command (and so never a service job).
+    if let Some((lint, rest)) = parsed.positionals.split_first() {
+        if lint == "lint" {
+            let (kind, files) = rest.split_first().ok_or_else(|| {
+                Error::msg("usage: repro lint <telemetry|uarch|extract|frontier> [files...]")
+            })?;
+            return scnn_bench::lint::run(kind, files, &mut std::io::stdout());
+        }
+    }
     let options = Options {
         samples: match parsed.value("--samples") {
             Some(v) => v
@@ -1508,16 +1432,7 @@ fn run() -> Result<(), Error> {
         let serve_options = ServeOptions::from_flags(&parsed)?;
         serve_mode(&serve_options, &options, artifact_cache)?;
     } else {
-        let mut runner = Runner {
-            options,
-            cache: HashMap::new(),
-            artifact_cache,
-            out: std::io::stdout(),
-            traffic: CacheTraffic::default(),
-        };
-        runner
-            .run_command(&command)
-            .map_err(|e| Error::msg(format!("{e}\n{}", flags.help())))?;
+        Runner::new(options, artifact_cache.as_ref(), std::io::stdout()).run_command(&command)?;
     }
 
     if let (Some(path), Some(recorder)) = (telemetry_path, recorder) {

@@ -17,6 +17,7 @@
 
 pub mod flags;
 pub mod harness;
+pub mod lint;
 
 use flags::{FlagError, FlagSet};
 use scnn_core::pipeline::{DatasetKind, ExperimentConfig};
@@ -27,7 +28,7 @@ use scnn_core::pipeline::{DatasetKind, ExperimentConfig};
 pub fn repro_flags() -> FlagSet {
     FlagSet::new(
         "repro",
-        "<fig1|fig2b|fig3|fig4|table1|table2|attack|extract|ablation|noise|events|uarch|archs|sweep|frontier|serve|all> [options]",
+        "<fig1|fig2b|fig3|fig4|table1|table2|attack|extract|ablation|noise|events|uarch|archs|sweep|frontier|serve|all> [options]\n       repro lint <telemetry|uarch|extract|frontier> [files...]",
     )
     .value("--samples", "N", "measurements per category (default 100)")
     .switch("--quick", "tiny models and few samples, for smoke tests")

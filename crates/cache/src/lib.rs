@@ -376,12 +376,6 @@ impl ArtifactCache {
         Ok(report)
     }
 
-    /// True when a valid artifact is present (same validation as
-    /// [`ArtifactCache::load`], counted the same way).
-    pub fn contains(&self, kind: &str, key: CacheKey) -> bool {
-        self.load(kind, key).is_some()
-    }
-
     /// Stores an artifact atomically: the framed payload is written to a
     /// temporary file in the cache directory and renamed over the final
     /// path, so readers never observe a partial write.
@@ -465,7 +459,6 @@ mod tests {
             cache.load("model", key).as_deref(),
             Some(&b"payload bytes"[..])
         );
-        assert!(cache.contains("model", key));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -27,6 +27,12 @@ pub trait TracedClassifier {
     fn classify_traced(&mut self, image: &Tensor, probe: &mut dyn Probe) -> Result<usize, NnError>;
 }
 
+impl<T: TracedClassifier + ?Sized> TracedClassifier for Box<T> {
+    fn classify_traced(&mut self, image: &Tensor, probe: &mut dyn Probe) -> Result<usize, NnError> {
+        (**self).classify_traced(image, probe)
+    }
+}
+
 impl TracedClassifier for Network {
     fn classify_traced(&mut self, image: &Tensor, probe: &mut dyn Probe) -> Result<usize, NnError> {
         Network::classify_traced(self, image, probe)

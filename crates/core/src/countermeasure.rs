@@ -290,6 +290,19 @@ impl std::fmt::Debug for ProtectedModel {
     }
 }
 
+/// The classifier one campaign arm measures: a private clone of `net`,
+/// wrapped in a [`ProtectedModel`] seeded from `seed` when `cm` is set.
+pub(crate) fn arm_model(
+    net: &Network,
+    cm: Option<Countermeasure>,
+    seed: u64,
+) -> Box<dyn TracedClassifier + Send> {
+    match cm {
+        None => Box::new(net.clone()),
+        Some(cm) => Box::new(ProtectedModel::new(net.clone(), cm, seed)),
+    }
+}
+
 impl ProtectedModel {
     /// Wraps `net` with `countermeasure`; `seed` drives the dummy-work,
     /// shuffle and decoy generators.

@@ -43,8 +43,9 @@
 
 use crate::artifact;
 use crate::attack::{Adversary, AttackError};
+use crate::campaign::Campaign;
 use crate::collect::{category_seed, TracedClassifier};
-use crate::countermeasure::{Countermeasure, ProtectedModel};
+use crate::countermeasure::{arm_model, Countermeasure};
 use crate::error::Error;
 use crate::json::{ObjectWriter, ToJson};
 use crate::pipeline::ExperimentConfig;
@@ -52,9 +53,8 @@ use scnn_cache::ArtifactCache;
 use scnn_data::Dataset;
 use scnn_hpc::SimulatedPmu;
 use scnn_nn::spec::LayerSpec;
-use scnn_nn::train::{accuracy, train};
 use scnn_nn::{Network, ReluStyle};
-use scnn_par::{Pool, Threads};
+use scnn_par::Threads;
 use scnn_tensor::Shape;
 use scnn_uarch::CounterSnapshot;
 
@@ -791,33 +791,6 @@ impl ToJson for ExtractOutcome {
     }
 }
 
-/// Trains (or restores from `cache`) the victim model of `cfg`, sharing
-/// the pipeline's model artifact: same key, same seeds, same bytes.
-pub(crate) fn obtain_model(
-    cfg: &ExperimentConfig,
-    cache: Option<&ArtifactCache>,
-) -> Result<Network, Error> {
-    if let Some(c) = cache {
-        if let Some((net, _, _)) = c
-            .load(artifact::MODEL_KIND, artifact::model_key(cfg))
-            .and_then(|p| artifact::decode_model(&p))
-        {
-            return Ok(net);
-        }
-    }
-    let _span = scnn_obs::Span::enter("extract.train");
-    let train_set = cfg.generate_dataset(cfg.train_per_class, cfg.seed)?;
-    let test_set = cfg.generate_dataset(cfg.test_per_class, cfg.seed ^ 0xFACE)?;
-    let mut net = cfg.build_model();
-    let report = train(&mut net, &train_set.to_samples(), &cfg.train)?;
-    let test_accuracy = accuracy(&mut net, &test_set.to_samples())?;
-    if let Some(c) = cache {
-        let payload = artifact::encode_model(&net, &report, test_accuracy);
-        let _ = c.store(artifact::MODEL_KIND, artifact::model_key(cfg), &payload);
-    }
-    Ok(net)
-}
-
 /// Measures `samples` traced inferences, one [`InferenceTrace`] each,
 /// cycling the dataset's images. The pre-layer staging window (input
 /// copy-in, before the first boundary) is stripped.
@@ -886,14 +859,8 @@ pub(crate) fn obtain_traces(
     }
     let tag = artifact::cm_seed_tag(&cfg) as usize;
     let mut pmu = SimulatedPmu::new(base.pmu, category_seed(base.seed ^ 0xE47A, tag))?;
-    let corpus = match cm {
-        None => collect_traces(&mut net.clone(), test_set, &mut pmu, samples)?,
-        Some(cm) => {
-            let mut protected =
-                ProtectedModel::new(net.clone(), cm, category_seed(base.seed ^ 0xE47B, tag));
-            collect_traces(&mut protected, test_set, &mut pmu, samples)?
-        }
-    };
+    let mut classifier = arm_model(net, cm, category_seed(base.seed ^ 0xE47B, tag));
+    let corpus = collect_traces(&mut classifier, test_set, &mut pmu, samples)?;
     if let Some(c) = cache {
         let _ = c.store(
             artifact::TRACE_KIND,
@@ -941,7 +908,7 @@ pub(crate) fn profile_and_score(
 /// against the true layer stack. The unprotected arm additionally
 /// reports recovery as a function of corpus size.
 ///
-/// Arms run as ordered coarse-grain jobs on a [`Pool`] with `threads`
+/// Arms are the ordered fan-out of a [`Campaign`] with `threads`
 /// workers; every arm's environment is seeded purely from `(seed,
 /// countermeasure)`, so the outcome is **bit-identical at every thread
 /// count**. With a `cache`, the model artifact is shared with the
@@ -959,74 +926,100 @@ pub fn run_extract(
     threads: Threads,
     cache: Option<&ArtifactCache>,
 ) -> Result<ExtractOutcome, Error> {
-    if !profile_fraction.is_finite() || profile_fraction <= 0.0 || profile_fraction >= 1.0 {
-        return Err(AttackError::InvalidProfileFraction {
-            fraction: profile_fraction,
+    Campaign::new(cache).extract(base, profile_fraction, dummy_events, threads)
+}
+
+impl Campaign {
+    /// [`run_extract`] on this campaign's victim memo and cache.
+    ///
+    /// # Errors
+    ///
+    /// As [`run_extract`].
+    pub fn extract(
+        &self,
+        base: &ExperimentConfig,
+        profile_fraction: f64,
+        dummy_events: u64,
+        threads: Threads,
+    ) -> Result<ExtractOutcome, Error> {
+        check_profile_fraction(profile_fraction)?;
+        let _span = scnn_obs::Span::enter("extract.run");
+        let (victim, _) = self.victim(base)?;
+        let test_set = victim.test_set()?;
+        let truth = ground_truth_of(&victim.network, &test_set)?;
+
+        let samples = base.collection.samples_per_category;
+        let profile_n = ((samples as f64 * profile_fraction).round() as usize).clamp(1, samples);
+
+        let arms = extraction_arms(dummy_events)
+            .into_iter()
+            .map(|arm| (base.clone(), arm))
+            .collect();
+        let results = self
+            .fan_out("extract.arm", threads, arms, |arm| {
+                let (name, cm) = arm.item;
+                let (corpus, hit) =
+                    obtain_traces(base, &victim.network, &test_set, cm, self.cache())?;
+                let (hypothesis, arm_score, agreement) =
+                    profile_and_score(&corpus, profile_n, &truth)?;
+                let row = ExtractRow {
+                    arm: name.to_owned(),
+                    countermeasure: cm,
+                    hypothesis,
+                    score: arm_score,
+                    holdout_agreement: agreement,
+                    trace_cache_hit: hit,
+                };
+                // The unprotected arm doubles as the sample-count study:
+                // the curve reuses prefixes of the corpus already
+                // collected, so it costs no extra measurements.
+                let curve = if arm.index == 0 {
+                    let mut sizes = vec![1, profile_n.div_ceil(2), profile_n];
+                    sizes.sort_unstable();
+                    sizes.dedup();
+                    let mut points = Vec::with_capacity(sizes.len());
+                    for n in sizes {
+                        let (_, s, _) = profile_and_score(&corpus.prefix(n), n, &truth)?;
+                        points.push(SamplePoint {
+                            samples: n,
+                            overall: s.overall,
+                            kind_precision: s.kind_precision,
+                        });
+                    }
+                    Some(points)
+                } else {
+                    None
+                };
+                Ok::<_, Error>((row, curve))
+            })
+            .map_err(|(_, e)| e)?;
+
+        let mut rows = Vec::with_capacity(results.len());
+        let mut curve = Vec::new();
+        for (row, points) in results {
+            if let Some(points) = points {
+                curve = points;
+            }
+            rows.push(row);
         }
-        .into());
+        Ok(ExtractOutcome { truth, rows, curve })
     }
-    let _span = scnn_obs::Span::enter("extract.run");
-    let net = obtain_model(base, cache)?;
-    let test_set = base.generate_dataset(base.test_per_class, base.seed ^ 0xFACE)?;
+}
+
+/// Rejects a profiling split outside `(0, 1)`.
+pub(crate) fn check_profile_fraction(fraction: f64) -> Result<(), Error> {
+    if !fraction.is_finite() || fraction <= 0.0 || fraction >= 1.0 {
+        return Err(AttackError::InvalidProfileFraction { fraction }.into());
+    }
+    Ok(())
+}
+
+/// The victim's true layer stack, read off the shape of its test images.
+pub(crate) fn ground_truth_of(net: &Network, test_set: &Dataset) -> Result<Vec<LayerTruth>, Error> {
     let (first_image, _) = test_set
         .get(0)
-        .ok_or_else(|| Error::msg("extraction needs a non-empty test set"))?;
-    let truth = ground_truth(&net, first_image.shape())?;
-
-    let samples = base.collection.samples_per_category;
-    let profile_n = ((samples as f64 * profile_fraction).round() as usize).clamp(1, samples);
-
-    let jobs: Vec<(usize, &'static str, Option<Countermeasure>)> = extraction_arms(dummy_events)
-        .iter()
-        .enumerate()
-        .map(|(i, (name, cm))| (i, *name, *cm))
-        .collect();
-    let pool = Pool::new(threads);
-    let results = pool.par_map(jobs, |(index, name, cm)| {
-        let _span = scnn_obs::Span::enter_indexed("extract.arm", index as u64);
-        let (corpus, hit) = obtain_traces(base, &net, &test_set, cm, cache)?;
-        let (hypothesis, arm_score, agreement) = profile_and_score(&corpus, profile_n, &truth)?;
-        let row = ExtractRow {
-            arm: name.to_owned(),
-            countermeasure: cm,
-            hypothesis,
-            score: arm_score,
-            holdout_agreement: agreement,
-            trace_cache_hit: hit,
-        };
-        // The unprotected arm doubles as the sample-count study: the
-        // curve reuses prefixes of the corpus already collected, so it
-        // costs no extra measurements.
-        let curve = if index == 0 {
-            let mut sizes = vec![1, profile_n.div_ceil(2), profile_n];
-            sizes.sort_unstable();
-            sizes.dedup();
-            let mut points = Vec::with_capacity(sizes.len());
-            for n in sizes {
-                let (_, s, _) = profile_and_score(&corpus.prefix(n), n, &truth)?;
-                points.push(SamplePoint {
-                    samples: n,
-                    overall: s.overall,
-                    kind_precision: s.kind_precision,
-                });
-            }
-            Some(points)
-        } else {
-            None
-        };
-        Ok::<(ExtractRow, Option<Vec<SamplePoint>>), Error>((row, curve))
-    });
-
-    let mut rows = Vec::with_capacity(results.len());
-    let mut curve = Vec::new();
-    for result in results {
-        let (row, points) = result?;
-        if let Some(points) = points {
-            curve = points;
-        }
-        rows.push(row);
-    }
-    Ok(ExtractOutcome { truth, rows, curve })
+        .ok_or_else(|| Error::msg("the campaign needs a non-empty test set"))?;
+    ground_truth(net, first_image.shape())
 }
 
 #[cfg(test)]

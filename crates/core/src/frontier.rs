@@ -24,28 +24,29 @@
 //! The calibrated-noise arm replaces the ablation's hard-coded
 //! dummy-event budget with a measured one: its volume is doubled until
 //! the evaluator's max |t| falls below a target (see
-//! [`calibrate_noise`]), so the reported overhead is the *price of the
+//! `calibrate_noise`), so the reported overhead is the *price of the
 //! threshold*, not of a guess.
 //!
-//! Determinism mirrors the sweep: arms are ordered coarse-grain
-//! [`Pool`] jobs with single-threaded interiors, and every random
+//! Determinism mirrors the sweep: arms are the ordered fan-out of one
+//! [`Campaign`], sharing its single victim, and every random
 //! stream is seeded from the countermeasure's canonical JSON
 //! ([`artifact::cm_seed_tag`]), so output is byte-identical at every
 //! thread count and cold-vs-warm cache state.
 
 use crate::artifact;
+use crate::campaign::Campaign;
 use crate::collect::category_seed;
-use crate::countermeasure::Countermeasure;
+use crate::countermeasure::{arm_model, Countermeasure};
 use crate::error::Error;
 use crate::evaluator::LeakageReport;
 use crate::extract;
 use crate::json::{ObjectWriter, ToJson};
-use crate::pipeline::{CacheUsage, Experiment, ExperimentConfig};
+use crate::pipeline::{CacheUsage, ExperimentConfig};
 use scnn_cache::ArtifactCache;
 use scnn_data::Dataset;
 use scnn_hpc::{CounterGroup, HpcEvent, Pmu, SimulatedPmu};
 use scnn_nn::Network;
-use scnn_par::{Pool, Threads};
+use scnn_par::Threads;
 
 /// Tunable knobs of the frontier campaign — the CLI's `--dummy-events`,
 /// `--decoys` and `--target-t` flags land here.
@@ -274,18 +275,18 @@ const CALIBRATE_CAP: u64 = 512_000;
 /// Finds the dummy-event volume at which noise injection pushes the
 /// evaluator's max |t| below `target_t`, by doubling from
 /// [`CALIBRATE_START`]: each probe volume runs the full (cache-resumed)
-/// evaluation under `CalibratedNoise`, so a warm rerun replays the
-/// whole search from checkpoints. Returns the converged volume, or the
-/// cap when even [`CALIBRATE_CAP`] still leaks.
+/// evaluation under `CalibratedNoise` on the campaign's victim, so a
+/// warm rerun replays the whole search from checkpoints. Returns the
+/// converged volume, or the cap when even [`CALIBRATE_CAP`] still leaks.
 ///
 /// # Errors
 ///
 /// Propagates the first failing calibration experiment.
-pub fn calibrate_noise(
+fn calibrate_noise(
+    campaign: &Campaign,
     base: &ExperimentConfig,
     target_t: f64,
     threads: Threads,
-    cache: Option<&ArtifactCache>,
 ) -> Result<u64, Error> {
     let _span = scnn_obs::Span::enter("frontier.calibrate");
     let mut volume = CALIBRATE_START;
@@ -295,11 +296,7 @@ pub fn calibrate_noise(
             target_t,
             dummy_events: volume,
         });
-        let experiment = Experiment::new(cfg);
-        let outcome = match cache {
-            Some(cache) => experiment.run_cached(cache)?,
-            None => experiment.run()?,
-        };
+        let outcome = campaign.experiment(&cfg)?;
         let (_, _, _, max_abs_t) = leak_stats(&outcome.report);
         scnn_obs::counter_add("frontier.calibration-runs", 1);
         if max_abs_t <= target_t || volume >= CALIBRATE_CAP {
@@ -326,14 +323,7 @@ fn mean_cycles(
     let tag = artifact::cm_seed_tag(&cfg) as usize;
     let mut pmu = SimulatedPmu::new(base.pmu, category_seed(base.seed ^ 0xF507, tag))?;
     let group = CounterGroup::new(vec![HpcEvent::Cycles], 1)?;
-    let mut classifier: Box<dyn crate::collect::TracedClassifier> = match cm {
-        None => Box::new(net.clone()),
-        Some(cm) => Box::new(crate::countermeasure::ProtectedModel::new(
-            net.clone(),
-            cm,
-            category_seed(base.seed ^ 0xF508, tag),
-        )),
-    };
+    let mut classifier = arm_model(net, cm, category_seed(base.seed ^ 0xF508, tag));
     let mut total = 0u64;
     for rep in 0..OVERHEAD_REPS {
         let (image, _) = test_set
@@ -382,12 +372,12 @@ fn mark_pareto(rows: &mut [FrontierRow]) {
 /// every arm against both adversaries and the cycle meter, and marks
 /// the Pareto-dominant set.
 ///
-/// Arms run as ordered coarse-grain jobs on a [`Pool`] with `threads`
-/// workers (inner experiments forced to one thread); with a `cache`,
-/// the model artifact is shared across arms (and with every other
-/// subcommand), each arm's observations resume per category, and each
-/// arm's extraction corpus is checkpointed under its content-addressed
-/// trace key.
+/// Arms are the ordered fan-out of a [`Campaign`] with `threads`
+/// workers: the victim trains (or is restored) once for the calibration
+/// search and every arm; with a `cache`, the model artifact is shared
+/// with every other subcommand, each arm's observations resume per
+/// category, and each arm's extraction corpus is checkpointed under its
+/// content-addressed trace key.
 ///
 /// # Errors
 ///
@@ -399,115 +389,111 @@ pub fn run_frontier(
     threads: Threads,
     cache: Option<&ArtifactCache>,
 ) -> Result<FrontierOutcome, Error> {
-    if !opts.profile_fraction.is_finite()
-        || opts.profile_fraction <= 0.0
-        || opts.profile_fraction >= 1.0
-    {
-        return Err(crate::attack::AttackError::InvalidProfileFraction {
-            fraction: opts.profile_fraction,
+    Campaign::new(cache).frontier(base, opts, threads)
+}
+
+impl Campaign {
+    /// [`run_frontier`] on this campaign's victim memo and cache.
+    ///
+    /// # Errors
+    ///
+    /// As [`run_frontier`].
+    pub fn frontier(
+        &self,
+        base: &ExperimentConfig,
+        opts: &FrontierOptions,
+        threads: Threads,
+    ) -> Result<FrontierOutcome, Error> {
+        extract::check_profile_fraction(opts.profile_fraction)?;
+        let _span = scnn_obs::Span::enter("frontier.run");
+        let mut base = base.clone();
+        // Both adversaries watch the full Fig 2b event set, like the sweep.
+        base.collection.events = scnn_hpc::HpcEvent::FIG2B.to_vec();
+        // 48 cells per arm: correct the alarm for multiple testing (see
+        // `leak_stats`) so a quiet arm is not condemned by per-cell noise.
+        base.evaluator.holm_alpha = Some(0.05);
+
+        let (victim, _) = self.victim(&base)?;
+        let net = &victim.network;
+        let test_set = victim.test_set()?;
+        let truth = extract::ground_truth_of(net, &test_set)?;
+
+        let calibrated = calibrate_noise(self, &base, opts.target_t, threads)?;
+
+        let samples = base.collection.samples_per_category;
+        let profile_n =
+            ((samples as f64 * opts.profile_fraction).round() as usize).clamp(1, samples);
+
+        let mut arms = fixed_arms(opts);
+        arms.push((
+            "calibrated-noise",
+            Some(Countermeasure::CalibratedNoise {
+                target_t: opts.target_t,
+                dummy_events: calibrated,
+            }),
+        ));
+        let arms = arms
+            .into_iter()
+            .map(|(name, cm)| {
+                let mut cfg = base.clone();
+                cfg.countermeasure = cm;
+                (cfg, name)
+            })
+            .collect();
+        let mut rows = self
+            .fan_out("frontier.arm", threads, arms, |arm| {
+                let cm = arm.config.countermeasure;
+                // Evaluator adversary: the full pairwise-t-test experiment.
+                let outcome = self.experiment(&arm.config)?;
+                let (alarm, distinguishable, total, max_abs_t) = leak_stats(&outcome.report);
+
+                // Extraction adversary: profile a trace corpus, score recovery.
+                let (corpus, trace_hit) =
+                    extract::obtain_traces(&base, net, &test_set, cm, self.cache())?;
+                let (_, score, _) = extract::profile_and_score(&corpus, profile_n, &truth)?;
+
+                // Overhead axis: mean cycles per traced inference.
+                let cycles = mean_cycles(&base, net, &test_set, cm)?;
+
+                let cell_ratio = if total == 0 {
+                    0.0
+                } else {
+                    distinguishable as f64 / total as f64
+                };
+                Ok::<_, Error>(FrontierRow {
+                    arm: arm.item.to_owned(),
+                    countermeasure: cm,
+                    alarm,
+                    distinguishable_pairs: distinguishable,
+                    total_pairs: total,
+                    max_abs_t,
+                    extraction_overall: score.overall,
+                    mean_cycles: cycles,
+                    overhead: 0.0, // relative to baseline, filled below
+                    leakage: 0.5 * cell_ratio + 0.5 * score.overall,
+                    pareto: false, // marked below
+                    test_accuracy: outcome.test_accuracy,
+                    cache: outcome.cache,
+                    trace_cache_hit: trace_hit,
+                })
+            })
+            .map_err(|(_, e)| e)?;
+
+        let baseline_cycles = rows[0].mean_cycles;
+        for row in &mut rows {
+            row.overhead = if baseline_cycles > 0.0 {
+                row.mean_cycles / baseline_cycles
+            } else {
+                1.0
+            };
         }
-        .into());
-    }
-    let _span = scnn_obs::Span::enter("frontier.run");
-    let mut base = base.clone();
-    // Both adversaries watch the full Fig 2b event set, like the sweep.
-    base.collection.events = scnn_hpc::HpcEvent::FIG2B.to_vec();
-    // 48 cells per arm: correct the alarm for multiple testing (see
-    // `leak_stats`) so a quiet arm is not condemned by per-cell noise.
-    base.evaluator.holm_alpha = Some(0.05);
-
-    // Everything downstream shares one victim: train it (or restore it)
-    // once, before any arm runs, so concurrent jobs never race to train.
-    let net = {
-        let _warm = scnn_obs::Span::enter("frontier.warm-model");
-        extract::obtain_model(&base, cache)?
-    };
-    let test_set = base.generate_dataset(base.test_per_class, base.seed ^ 0xFACE)?;
-    let (first_image, _) = test_set
-        .get(0)
-        .ok_or_else(|| Error::msg("frontier needs a non-empty test set"))?;
-    let truth = extract::ground_truth(&net, first_image.shape())?;
-
-    let calibrated = calibrate_noise(&base, opts.target_t, threads, cache)?;
-
-    let samples = base.collection.samples_per_category;
-    let profile_n = ((samples as f64 * opts.profile_fraction).round() as usize).clamp(1, samples);
-
-    let mut arms = fixed_arms(opts);
-    arms.push((
-        "calibrated-noise",
-        Some(Countermeasure::CalibratedNoise {
+        mark_pareto(&mut rows);
+        Ok(FrontierOutcome {
+            rows,
+            calibrated_dummy_events: calibrated,
             target_t: opts.target_t,
-            dummy_events: calibrated,
-        }),
-    ));
-
-    let jobs: Vec<(usize, &'static str, Option<Countermeasure>)> = arms
-        .iter()
-        .enumerate()
-        .map(|(i, (name, cm))| (i, *name, *cm))
-        .collect();
-    let pool = Pool::new(threads);
-    let results = pool.par_map(jobs, |(index, name, cm)| {
-        let _span = scnn_obs::Span::enter_indexed("frontier.arm", index as u64);
-        // Evaluator adversary: the full pairwise-t-test experiment.
-        let mut cfg = base.clone().threads(Threads::Count(1));
-        cfg.countermeasure = cm;
-        let experiment = Experiment::new(cfg);
-        let outcome = match cache {
-            Some(cache) => experiment.run_cached(cache)?,
-            None => experiment.run()?,
-        };
-        let (alarm, distinguishable, total, max_abs_t) = leak_stats(&outcome.report);
-
-        // Extraction adversary: profile a trace corpus, score recovery.
-        let (corpus, trace_hit) = extract::obtain_traces(&base, &net, &test_set, cm, cache)?;
-        let (_, score, _) = extract::profile_and_score(&corpus, profile_n, &truth)?;
-
-        // Overhead axis: mean cycles per traced inference.
-        let cycles = mean_cycles(&base, &net, &test_set, cm)?;
-
-        let cell_ratio = if total == 0 {
-            0.0
-        } else {
-            distinguishable as f64 / total as f64
-        };
-        Ok::<FrontierRow, Error>(FrontierRow {
-            arm: name.to_owned(),
-            countermeasure: cm,
-            alarm,
-            distinguishable_pairs: distinguishable,
-            total_pairs: total,
-            max_abs_t,
-            extraction_overall: score.overall,
-            mean_cycles: cycles,
-            overhead: 0.0, // relative to baseline, filled below
-            leakage: 0.5 * cell_ratio + 0.5 * score.overall,
-            pareto: false, // marked below
-            test_accuracy: outcome.test_accuracy,
-            cache: outcome.cache,
-            trace_cache_hit: trace_hit,
         })
-    });
-
-    let mut rows = Vec::with_capacity(results.len());
-    for row in results {
-        rows.push(row?);
     }
-    let baseline_cycles = rows[0].mean_cycles;
-    for row in &mut rows {
-        row.overhead = if baseline_cycles > 0.0 {
-            row.mean_cycles / baseline_cycles
-        } else {
-            1.0
-        };
-    }
-    mark_pareto(&mut rows);
-    Ok(FrontierOutcome {
-        rows,
-        calibrated_dummy_events: calibrated,
-        target_t: opts.target_t,
-    })
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! observability layer's [`TelemetrySnapshot`]. The `repro` binary uses
 //! it to emit results that downstream scripts can parse without scraping
 //! the text tables, and [`parse`] reads any JSON document back into a
-//! [`Value`] tree (used by `telemetry_lint` and the golden tests).
+//! [`Value`] tree (used by `repro lint` and the golden tests).
 //!
 //! Numbers follow the JSON grammar strictly: non-finite floats (a t-test
 //! on degenerate data can produce them) are emitted as `null` rather than

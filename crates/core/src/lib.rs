@@ -30,7 +30,10 @@
 //!   calls for, with an ablation pipeline to quantify them;
 //! - [`pipeline`] — the end-to-end experiment driver (`dataset → train →
 //!   collect → evaluate`) used by the `repro` binary to regenerate every
-//!   table and figure.
+//!   table and figure;
+//! - [`campaign`] — the one campaign runner behind every driver: a
+//!   victim memo (one training per model) and an ordered per-arm
+//!   fan-out.
 //!
 //! # Examples
 //!
@@ -49,6 +52,7 @@
 
 pub mod artifact;
 pub mod attack;
+pub mod campaign;
 pub mod collect;
 pub mod countermeasure;
 pub mod error;
@@ -65,6 +69,7 @@ pub mod zoo;
 pub use attack::{
     mount_attack, Adversary, AttackClassifier, AttackConfig, AttackOutcome, ClassifierAdversary,
 };
+pub use campaign::Campaign;
 pub use collect::{
     collect, CategoryObservations, CollectError, CollectionConfig, TracedClassifier,
 };

@@ -2,25 +2,22 @@
 //! HPC collection → leakage evaluation — the full protocol of the
 //! paper's §5, as one configurable object.
 
-use crate::artifact;
 use crate::attack::{mount_attack, AttackConfig, AttackError, AttackOutcome};
-use crate::collect::{
-    category_seed, collect_selected, CategoryObservations, CollectError, CollectionConfig,
-};
-use crate::countermeasure::{Countermeasure, ProtectedModel};
-use crate::evaluator::{EvaluateError, Evaluator, EvaluatorConfig, LeakageReport};
+use crate::campaign::Campaign;
+use crate::collect::{CategoryObservations, CollectError, CollectionConfig};
+use crate::countermeasure::Countermeasure;
+use crate::evaluator::{EvaluateError, EvaluatorConfig, LeakageReport};
 use scnn_cache::ArtifactCache;
 use scnn_data::cifar_synth::{self, CifarSynthConfig};
 use scnn_data::mnist_synth::{self, MnistSynthConfig};
 use scnn_data::{Dataset, DatasetError};
-use scnn_hpc::{SimPmuConfig, SimulatedPmu};
+use scnn_hpc::SimPmuConfig;
 use scnn_nn::models;
-use scnn_nn::train::{accuracy, train, TrainConfig, TrainReport};
+use scnn_nn::train::{TrainConfig, TrainReport};
 use scnn_nn::Network;
 use scnn_par::Threads;
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Which case study to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,12 +134,6 @@ impl ExperimentConfig {
         }
     }
 
-    /// Returns the same config with a countermeasure applied.
-    pub fn with_countermeasure(mut self, cm: Countermeasure) -> Self {
-        self.countermeasure = Some(cm);
-        self
-    }
-
     // Fluent builders. Every field stays `pub` — these are sugar over
     // direct mutation, so `config.collection.samples_per_category = n`
     // and `config.samples(n)` remain interchangeable.
@@ -162,8 +153,7 @@ impl ExperimentConfig {
         self
     }
 
-    /// Sets the countermeasure to apply before measuring (fluent
-    /// spelling of [`with_countermeasure`](Self::with_countermeasure)).
+    /// Sets the countermeasure to apply before measuring.
     pub fn countermeasure(mut self, cm: Countermeasure) -> Self {
         self.countermeasure = Some(cm);
         self
@@ -361,7 +351,8 @@ pub struct ExperimentOutcome {
     pub train_report: TrainReport,
     /// Held-out classification accuracy of the CNN.
     pub test_accuracy: f64,
-    /// The (possibly countermeasure-rewritten) trained network.
+    /// The trained network itself, never countermeasure-rewritten: each
+    /// protected measurement wraps a private clone.
     pub network: Network,
     /// What the artifact cache contributed (all zeros when uncached).
     pub cache: CacheUsage,
@@ -404,196 +395,32 @@ impl Experiment {
         &self.config
     }
 
-    /// Runs the full protocol:
-    ///
-    /// 1. generate train/test datasets (all 10 classes);
-    /// 2. train the CNN;
-    /// 3. select the monitored categories from the test set;
-    /// 4. measure `samples_per_category` traced classifications per
-    ///    category through the simulated PMU (with the countermeasure
-    ///    applied, if any);
-    /// 5. run the pairwise-t-test evaluator.
+    /// Runs the full protocol — synthesize data, train the victim,
+    /// measure each monitored category through the simulated PMU (with
+    /// the countermeasure applied, if any), evaluate — as a
+    /// one-experiment [`Campaign`].
     ///
     /// # Errors
     ///
     /// Returns [`ExperimentError`] from whichever stage fails.
     pub fn run(&self) -> Result<ExperimentOutcome, ExperimentError> {
-        self.run_inner(None)
+        Campaign::new(None).experiment(&self.config)
     }
 
-    /// Runs the protocol with a persistent [`ArtifactCache`]: the trained
-    /// model and each category's observations are looked up before being
-    /// recomputed, and stored after.
-    ///
-    /// A fully warm run (model plus every category) skips dataset
-    /// synthesis, training and collection outright; a partially warm one
-    /// — e.g. an interrupted campaign — retrains/recollects only what is
-    /// missing and checkpoints each category as it completes. The outcome
-    /// is **bit-identical** to [`run`](Self::run): artifacts are keyed by
-    /// every config field that feeds them (and no others — see
-    /// [`crate::artifact`]), and a corrupt or truncated artifact decodes
-    /// to a miss, never a wrong answer.
+    /// [`run`](Self::run) through a persistent [`ArtifactCache`]: the
+    /// model and each category's observations are restored when present
+    /// and stored when computed, so a fully warm run skips synthesis,
+    /// training and collection, and an interrupted one resumes per
+    /// category. The outcome is **bit-identical** to `run`: artifacts
+    /// are keyed by every config field that feeds them (see
+    /// [`crate::artifact`]), and a corrupt artifact is a miss, never a
+    /// wrong answer.
     ///
     /// # Errors
     ///
-    /// Returns [`ExperimentError`] from whichever stage fails. Cache I/O
-    /// failures are not errors: an unreadable artifact is a miss and an
-    /// unwritable store is skipped.
+    /// As [`run`](Self::run); cache I/O failures are misses, not errors.
     pub fn run_cached(&self, cache: &ArtifactCache) -> Result<ExperimentOutcome, ExperimentError> {
-        self.run_inner(Some(cache))
-    }
-
-    fn run_inner(
-        &self,
-        cache: Option<&ArtifactCache>,
-    ) -> Result<ExperimentOutcome, ExperimentError> {
-        // Telemetry spans mark the protocol's phases. They only read the
-        // wall clock — nothing they record feeds back into seeds or
-        // results, so the run is identical with a recorder installed or
-        // not (see DESIGN.md § Observability).
-        let _run_span = scnn_obs::Span::enter("pipeline.run");
-        let cfg = &self.config;
-        let mut usage = CacheUsage::default();
-
-        // Consult the cache before paying for anything. Category
-        // artifacts are keyed by config alone (the model they depend on
-        // is itself a pure function of config), so they are usable even
-        // when the model artifact is absent.
-        let cached_model = cache.and_then(|c| {
-            c.load(artifact::MODEL_KIND, artifact::model_key(cfg))
-                .and_then(|p| artifact::decode_model(&p))
-        });
-        usage.model_hit = cached_model.is_some();
-        let mut slots: Vec<Option<CategoryObservations>> = match cache {
-            Some(c) => (0..cfg.categories.len())
-                .map(|i| {
-                    c.load(artifact::CATEGORY_KIND, artifact::category_key(cfg, i))
-                        .and_then(|p| artifact::decode_category(&p))
-                })
-                .collect(),
-            None => vec![None; cfg.categories.len()],
-        };
-        // `select_classes` re-maps `cfg.categories[i]` to label `i`, so a
-        // slot's position is also its campaign's category index.
-        let missing: Vec<usize> = slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.is_none().then_some(i))
-            .collect();
-        if cache.is_some() {
-            usage.categories_hit = slots.len() - missing.len();
-            usage.categories_collected = missing.len();
-        }
-
-        if usage.model_hit && missing.is_empty() {
-            // Fully warm: every expensive phase is served from disk, so
-            // the datasets need not even be synthesized.
-            let (network, train_report, test_accuracy) =
-                cached_model.expect("model_hit implies a decoded model");
-            let observations: Vec<CategoryObservations> = slots.into_iter().flatten().collect();
-            let evaluate_span = scnn_obs::Span::enter("pipeline.evaluate");
-            let report = Evaluator::new(cfg.evaluator).evaluate(&observations)?;
-            drop(evaluate_span);
-            return Ok(ExperimentOutcome {
-                report,
-                observations,
-                train_report,
-                test_accuracy,
-                network,
-                cache: usage,
-            });
-        }
-
-        let dataset_span = scnn_obs::Span::enter("pipeline.dataset");
-        let train_set = cfg.generate_dataset(cfg.train_per_class, cfg.seed)?;
-        let test_set = cfg.generate_dataset(cfg.test_per_class, cfg.seed ^ 0xFACE)?;
-        drop(dataset_span);
-
-        let (net, train_report, test_accuracy) = match cached_model {
-            Some(restored) => restored,
-            None => {
-                let train_span = scnn_obs::Span::enter("pipeline.train");
-                let mut net = cfg.build_model();
-                let train_report = train(&mut net, &train_set.to_samples(), &cfg.train)?;
-                let test_accuracy = accuracy(&mut net, &test_set.to_samples())?;
-                drop(train_span);
-                if let Some(c) = cache {
-                    let payload = artifact::encode_model(&net, &train_report, test_accuracy);
-                    if c.store(artifact::MODEL_KIND, artifact::model_key(cfg), &payload)
-                        .is_ok()
-                    {
-                        usage.writes += 1;
-                    }
-                }
-                (net, train_report, test_accuracy)
-            }
-        };
-
-        if !missing.is_empty() {
-            let collect_span = scnn_obs::Span::enter("pipeline.collect");
-            let monitored = test_set.select_classes(&cfg.categories);
-
-            // One campaign per category, each on its own cloned model and
-            // its own PMU seeded from the category index — a pure
-            // function of (seed, category), so readings are bit-identical
-            // at every thread count (see `collect_campaign`), and a
-            // subset campaign reproduces the full campaign's slice.
-            let pmu_base = cfg.seed ^ 0x9019;
-            let cm_base = cfg.seed ^ 0xD011;
-            let make_pmu = |c: usize| SimulatedPmu::new(cfg.pmu, category_seed(pmu_base, c));
-            // Checkpoint each category from the worker thread that
-            // finished it, so an interrupted campaign resumes here.
-            let stored = AtomicUsize::new(0);
-            let on_collected = |obs: &CategoryObservations| {
-                if let Some(c) = cache {
-                    let key = artifact::category_key(cfg, obs.category);
-                    let payload = artifact::encode_category(obs);
-                    if c.store(artifact::CATEGORY_KIND, key, &payload).is_ok() {
-                        stored.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            };
-            let fresh = match cfg.countermeasure {
-                None => collect_selected(
-                    |_| net.clone(),
-                    &monitored,
-                    make_pmu,
-                    &cfg.collection,
-                    &missing,
-                    on_collected,
-                )?,
-                Some(cm) => collect_selected(
-                    |c| ProtectedModel::new(net.clone(), cm, category_seed(cm_base, c)),
-                    &monitored,
-                    make_pmu,
-                    &cfg.collection,
-                    &missing,
-                    on_collected,
-                )?,
-            };
-            for obs in fresh {
-                let slot = obs.category;
-                slots[slot] = Some(obs);
-            }
-            usage.writes += stored.load(Ordering::Relaxed);
-            drop(collect_span);
-        }
-        let observations: Vec<CategoryObservations> = slots.into_iter().flatten().collect();
-        // Each campaign measured a private clone; the caller gets the
-        // trained network itself, unrewritten.
-        let network = net;
-
-        let evaluate_span = scnn_obs::Span::enter("pipeline.evaluate");
-        let report = Evaluator::new(cfg.evaluator).evaluate(&observations)?;
-        drop(evaluate_span);
-        Ok(ExperimentOutcome {
-            report,
-            observations,
-            train_report,
-            test_accuracy,
-            network,
-            cache: usage,
-        })
+        Campaign::new(Some(cache)).experiment(&self.config)
     }
 }
 
@@ -643,7 +470,7 @@ mod tests {
         let mut cfg = fast(DatasetKind::Mnist);
         cfg.pmu.noise = NoiseConfig::quiet();
         let leaky = Experiment::new(cfg.clone()).run().unwrap();
-        let protected = Experiment::new(cfg.with_countermeasure(Countermeasure::ConstantTime))
+        let protected = Experiment::new(cfg.countermeasure(Countermeasure::ConstantTime))
             .run()
             .unwrap();
         let leaky_count = leaky

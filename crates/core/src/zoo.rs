@@ -5,7 +5,7 @@
 //! owns its on-disk shape, read with the strict in-tree JSON parser
 //! ([`crate::json::parse`]). The schema is flat and explicit (DESIGN.md
 //! §13): per-level cache geometry and policies, latencies, prefetcher,
-//! predictor, TLB and cycle model. Parsing is `telemetry_lint`-strict —
+//! predictor, TLB and cycle model. Parsing is `repro lint`-strict —
 //! an unknown field is an error, a missing required field is reported by
 //! its dotted name, and a bad enum name lists the accepted spellings —
 //! because a silently ignored typo in a platform file would quietly

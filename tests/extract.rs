@@ -11,11 +11,12 @@
 //! 3. **Deterministic fan-out** — the outcome (struct, JSON, rendered
 //!    table) is byte-identical on one worker and four.
 //! 4. **Resume from cache** — a warm campaign against the same cache
-//!    directory enters no `extract.train`/`extract.collect` span and
+//!    directory enters no `pipeline.train`/`extract.collect` span and
 //!    reproduces the cold outcome, modulo the cache-hit markers.
 //!
-//! The recorder is process-global, so the test that installs one holds
-//! [`INSTALL_LOCK`] for its whole body.
+//! The recorder is process-global, so every test holds [`INSTALL_LOCK`]
+//! for its whole body: spans from a concurrent test would otherwise land
+//! in another test's recorder.
 
 use scnn::cache::ArtifactCache;
 use scnn::core::extract::{run_extract, ExtractOutcome};
@@ -45,6 +46,7 @@ fn scratch(tag: &str) -> (std::path::PathBuf, ArtifactCache) {
 
 #[test]
 fn extraction_pins_the_architecture_and_degrades_under_countermeasures() {
+    let _guard = INSTALL_LOCK.lock().unwrap();
     let cfg = config();
     let one = run_extract(&cfg, 0.75, 20_000, Threads::Count(1), None).unwrap();
     let four = run_extract(&cfg, 0.75, 20_000, Threads::Count(4), None).unwrap();
@@ -136,7 +138,7 @@ fn warm_extraction_resumes_from_cache_without_retracing() {
     );
     let names: Vec<&str> = snapshot.spans.iter().map(|s| s.name).collect();
     assert!(
-        !names.contains(&"extract.train"),
+        !names.contains(&"pipeline.train"),
         "warm campaign must not retrain, got spans {names:?}"
     );
     assert!(

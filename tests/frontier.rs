@@ -14,12 +14,22 @@
 //!    table) is byte-identical on one worker and four.
 //! 5. **Resume from cache** — a warm campaign against the same cache
 //!    directory reproduces the cold outcome, modulo cache-hit markers.
+//! 6. **One training** — the calibration search and every arm share one
+//!    victim: an uncached campaign enters `pipeline.train` exactly once.
+//!
+//! The recorder is process-global, so every test holds [`INSTALL_LOCK`]
+//! for its whole body: spans from a concurrent test would otherwise land
+//! in another test's recorder.
 
 use scnn::cache::ArtifactCache;
 use scnn::core::frontier::{run_frontier, FrontierOptions, FrontierOutcome};
 use scnn::core::pipeline::{CacheUsage, DatasetKind, ExperimentConfig};
 use scnn::core::ToJson;
+use scnn::obs::Recorder;
 use scnn::par::Threads;
+use std::sync::{Arc, Mutex};
+
+static INSTALL_LOCK: Mutex<()> = Mutex::new(());
 
 fn config() -> ExperimentConfig {
     let mut cfg = ExperimentConfig::quick(DatasetKind::Mnist)
@@ -48,6 +58,7 @@ fn scratch(tag: &str) -> (std::path::PathBuf, ArtifactCache) {
 
 #[test]
 fn frontier_reports_every_arm_and_is_thread_invariant() {
+    let _guard = INSTALL_LOCK.lock().unwrap();
     let cfg = config();
     let opts = options();
     let one = run_frontier(&cfg, &opts, Threads::Count(1), None).unwrap();
@@ -114,6 +125,7 @@ fn frontier_reports_every_arm_and_is_thread_invariant() {
 
 #[test]
 fn warm_frontier_resumes_from_cache() {
+    let _guard = INSTALL_LOCK.lock().unwrap();
     let (dir, cache) = scratch("warm");
     let cfg = config();
     let opts = options();
@@ -144,6 +156,24 @@ fn warm_frontier_resumes_from_cache() {
     );
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn uncached_frontier_trains_the_victim_once() {
+    let _guard = INSTALL_LOCK.lock().unwrap();
+    let recorder = Arc::new(Recorder::new());
+    scnn::obs::install(recorder.clone());
+    let outcome = run_frontier(&config(), &options(), Threads::Count(2), None);
+    scnn::obs::uninstall();
+    assert_eq!(outcome.unwrap().rows.len(), 7);
+    let snapshot = recorder.snapshot();
+    let count = |name: &str| snapshot.spans.iter().filter(|s| s.name == name).count();
+    assert_eq!(
+        count("pipeline.train"),
+        1,
+        "calibration and all seven arms share one victim"
+    );
+    assert_eq!(count("frontier.arm"), 7, "one span per arm");
 }
 
 /// The verdict parts of an outcome, with cache markers zeroed — cold

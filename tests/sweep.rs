@@ -13,9 +13,12 @@
 //!    directory enters no `pipeline.train`/`pipeline.collect` span and
 //!    reproduces the cold table byte for byte, while every preset
 //!    shares the single trained-model artifact.
+//! 4. **One training** — without a cache, every preset still shares one
+//!    victim: the sweep enters `pipeline.train` exactly once.
 //!
-//! The recorder is process-global, so every test that installs one holds
-//! [`INSTALL_LOCK`] for its whole body.
+//! The recorder is process-global, so every test that runs a sweep holds
+//! [`INSTALL_LOCK`] for its whole body: spans from a concurrent test
+//! would otherwise land in another test's recorder.
 
 use scnn::cache::ArtifactCache;
 use scnn::core::pipeline::{DatasetKind, ExperimentConfig};
@@ -83,6 +86,7 @@ fn presets_are_distinct_platforms() {
 
 #[test]
 fn sweep_is_byte_identical_across_worker_counts() {
+    let _guard = INSTALL_LOCK.lock().unwrap();
     let cfg = config();
     let presets = zoo::zoo();
     let one = run_sweep(&cfg, &presets, Threads::Count(1), None).unwrap();
@@ -116,9 +120,8 @@ fn warm_sweep_resumes_from_cache_and_shares_the_model() {
     ];
 
     let cold = run_sweep(&cfg, &presets, Threads::Count(2), Some(&cache)).unwrap();
-    // The base config's platform is the Xeon, so the warm-up run trains
-    // the model and collects the xeon-like row's observations; only the
-    // embedded row measures anything afterwards.
+    // The campaign trains the victim before any row runs, so no row
+    // pays for it.
     assert!(
         cold.rows.iter().all(|r| r.cache.model_hit),
         "every preset restores the one shared model artifact"
@@ -157,6 +160,27 @@ fn warm_sweep_resumes_from_cache_and_shares_the_model() {
     );
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn uncached_sweep_trains_the_victim_once() {
+    let _guard = INSTALL_LOCK.lock().unwrap();
+    let presets = vec![
+        zoo::preset("xeon-like").unwrap(),
+        zoo::preset("embedded-like").unwrap(),
+    ];
+    let recorder = Arc::new(Recorder::new());
+    scnn::obs::install(recorder.clone());
+    let outcome = run_sweep(&config(), &presets, Threads::Count(2), None);
+    scnn::obs::uninstall();
+    assert_eq!(outcome.unwrap().rows.len(), 2);
+    let snapshot = recorder.snapshot();
+    let trainings = snapshot
+        .spans
+        .iter()
+        .filter(|s| s.name == "pipeline.train")
+        .count();
+    assert_eq!(trainings, 1, "both presets share one victim");
 }
 
 /// The verdict parts of a sweep outcome, with cache usage zeroed —
