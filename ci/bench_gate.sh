@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Benchmark invariant gate — runs the `parallel` and `service` benches
-# and fails on broken *invariants*, never on timings.
+# Benchmark invariant gate — runs the `parallel`, `service` and
+# `inference` benches and fails on broken *invariants*, never on timings.
 #
 # CI machines have noisy, heterogeneous performance, so asserting "the
 # parallel path is N× faster" would flake. Two properties are load-
@@ -91,4 +91,20 @@ hit_rate="$(grep '"cache"' "$service_report" | sed 's/.*"hit_rate": \([0-9.]*\).
 awk -v h="$hit_rate" 'BEGIN { exit (h >= 0.5) ? 0 : 1 }' \
   || { echo "FAIL: service cache hit rate $hit_rate < 0.5"; cat "$service_report"; exit 1; }
 
-echo "bench gate OK (bit_identical, batch_infer speedup $speedup, service hit rate $hit_rate)"
+echo "== bench gate: simulator end-to-end record =="
+cargo bench -q --offline -p scnn-bench --bench inference
+
+e2e_report="BENCH_e2e.json"
+[ -f "$e2e_report" ] || { echo "FAIL: $e2e_report was not written"; exit 1; }
+
+# The traced inference's counter snapshot must equal the golden one the
+# bench pins: a faster simulator that counts differently is wrong. The
+# timings beside it are recorded, never judged.
+grep -q '"bit_identical": true' "$e2e_report" \
+  || { echo "FAIL: simulator counters moved from the golden snapshot"; cat "$e2e_report"; exit 1; }
+grep -q '"host_parallelism": [0-9]' "$e2e_report" \
+  || { echo "FAIL: host_parallelism missing"; cat "$e2e_report"; exit 1; }
+grep -q '"degraded_host": \(true\|false\)' "$e2e_report" \
+  || { echo "FAIL: degraded_host flag missing"; cat "$e2e_report"; exit 1; }
+
+echo "bench gate OK (bit_identical, batch_infer speedup $speedup, service hit rate $hit_rate, simulator counters golden)"

@@ -130,8 +130,9 @@ impl SimulatedPmu {
             bus_cycles: self.core.config().cycles.bus_cycles(cycles),
         };
         // A context switch during this window pollutes state for the next
-        // one (only observable under the Warm policy).
-        if n.context_switches > 0 {
+        // one. Under ColdStart the next window begins with a full flush
+        // that erases whatever pollution would change, so it is skipped.
+        if n.context_switches > 0 && self.config.warmup == WarmupPolicy::Warm {
             self.core
                 .pollute(0.5, self.measurements_taken.wrapping_mul(0x9E37_79B9));
         }
@@ -401,6 +402,66 @@ mod tests {
             whole.value(HpcEvent::Instructions)
         );
         assert_eq!(Some(windows[0].branches), whole.value(HpcEvent::Branches));
+    }
+
+    /// A noisy workload long enough (about 25 Mcycles) that context
+    /// switches land in most windows.
+    fn switching_workload(p: &mut dyn Probe) {
+        for i in 0..2_048u64 {
+            p.load(i * 64, 0x40);
+            p.store(i * 64 + 8, 0x44);
+        }
+        p.alu(50_000_000);
+    }
+
+    fn noisy_pmu(warmup: WarmupPolicy) -> SimulatedPmu {
+        SimulatedPmu::new(
+            SimPmuConfig {
+                noise: NoiseConfig::noisy(),
+                warmup,
+                ..SimPmuConfig::default()
+            },
+            5,
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn cold_start_readings_under_context_switches_are_pinned() {
+        // Pollution after a context switch is invisible under ColdStart:
+        // the next window starts with a full flush. The digest holds
+        // readings taken with pollution after every switch, so skipping
+        // it under ColdStart must leave them unchanged.
+        let mut pmu = noisy_pmu(WarmupPolicy::ColdStart);
+        let g = CounterGroup::new(HpcEvent::ALL.to_vec(), 8).unwrap();
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for _ in 0..12 {
+            let m = pmu.measure(&g, &mut switching_workload).unwrap();
+            let layers = pmu.measure_layers(&mut |p| {
+                switching_workload(p);
+                p.layer_boundary(1);
+                switching_workload(p);
+            });
+            for b in format!("{:?} {} {layers:?}", m.values(), m.window_ns).bytes() {
+                digest = (digest ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(
+            digest, 0xfdbc_82bb_48bf_f2e1,
+            "readings moved: {digest:#018x}"
+        );
+    }
+
+    #[test]
+    fn only_the_warm_policy_pollutes_after_a_context_switch() {
+        let lines = |pmu: &SimulatedPmu| pmu.core.hierarchy().l1d().occupancy();
+        let g = group(&[HpcEvent::Instructions]);
+        let mut warm = noisy_pmu(WarmupPolicy::Warm);
+        warm.measure(&g, &mut switching_workload).unwrap();
+        assert!(lines(&warm) < 512, "a switch must evict warm lines");
+        let mut cold = noisy_pmu(WarmupPolicy::ColdStart);
+        cold.measure(&g, &mut switching_workload).unwrap();
+        assert_eq!(lines(&cold), 512, "the next cold start flushes anyway");
     }
 
     #[test]

@@ -229,19 +229,17 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// LRU timestamp or FIFO fill order, depending on policy.
-    stamp: u64,
-}
-
 /// One set-associative cache level.
 ///
-/// Addresses are byte-granular; the cache derives line/set/tag with shifts
-/// from the configured geometry.
+/// Addresses are byte-granular; the cache derives line and set with
+/// shifts from the configured geometry.
+///
+/// The state is flat and set-major: way `w` of set `s` is slot
+/// `s * associativity + w` of three parallel arrays — the resident line
+/// address, the replacement stamp and the dirty bit. A slot is empty
+/// exactly when its stamp is 0. The clock advances before every access,
+/// so every fill stamps at least 1 and no line address is reserved as an
+/// "empty" marker (a 1-byte-line cache can hold line `u64::MAX`).
 ///
 /// # Examples
 ///
@@ -259,14 +257,31 @@ struct Line {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    ways: usize,
+    /// Resident line address (`addr >> line_shift`) per slot.
+    lines: Vec<u64>,
+    /// LRU timestamp or FIFO fill order per slot; 0 marks an empty slot.
+    stamps: Vec<u64>,
+    dirty: Vec<bool>,
+    /// PLRU tree bits, one word per set (supports associativity ≤ 64).
+    plru: Vec<u64>,
+    /// Sets filled since the last flush, each listed once; `listed[s]`
+    /// says whether set `s` is in the list. Only these sets can hold a
+    /// resident line or non-zero PLRU bits, so `flush` resets only them.
+    touched: Vec<usize>,
+    listed: Vec<bool>,
+    /// The last line accessed and its slot, while that slot still holds
+    /// it. Every fill, flush and pollute replaces or clears it.
+    memo: Option<(u64, usize)>,
+    /// Per set, the slot most recently hit or filled: the first slot a
+    /// lookup checks. A hint only — the slot's line and stamp are
+    /// checked, so a stale hint costs a scan, never a wrong answer.
+    mru: Vec<usize>,
     stats: CacheStats,
     clock: u64,
     line_shift: u32,
     set_mask: u64,
     rng_state: u64,
-    /// PLRU tree bits, one word per set (supports associativity ≤ 64).
-    plru: Vec<u64>,
 }
 
 impl Cache {
@@ -278,15 +293,23 @@ impl Cache {
     pub fn new(config: CacheConfig) -> Result<Self, CacheConfigError> {
         config.validate()?;
         let sets = config.num_sets();
+        let slots = sets * config.associativity;
         Ok(Cache {
             config,
-            sets: vec![vec![Line::default(); config.associativity]; sets],
+            ways: config.associativity,
+            lines: vec![0; slots],
+            stamps: vec![0; slots],
+            dirty: vec![false; slots],
+            plru: vec![0; sets],
+            touched: Vec::new(),
+            listed: vec![false; sets],
+            memo: None,
+            mru: (0..sets).map(|set| set * config.associativity).collect(),
             stats: CacheStats::default(),
             clock: 0,
             line_shift: config.line_bytes.trailing_zeros(),
             set_mask: (sets - 1) as u64,
             rng_state: 0x9E37_79B9_7F4A_7C15,
-            plru: vec![0; sets],
         })
     }
 
@@ -303,130 +326,161 @@ impl Cache {
     /// Accesses `addr`; `write` marks the line dirty under write-back.
     /// Fills on miss, except for write misses under
     /// [`WritePolicy::WriteThroughNoAllocate`].
+    #[inline(always)]
     pub fn access(&mut self, addr: u64, write: bool) -> AccessOutcome {
         self.clock += 1;
         self.stats.accesses += 1;
-        let line_addr = addr >> self.line_shift;
-        let set_idx = (line_addr & self.set_mask) as usize;
-        let tag = line_addr >> self.set_mask.count_ones();
-        let write_through = self.config.write_policy == WritePolicy::WriteThroughNoAllocate;
-
-        // Hit path.
-        let hit_way = self.sets[set_idx]
-            .iter()
-            .position(|l| l.valid && l.tag == tag);
-        if let Some(way) = hit_way {
-            // FIFO must not refresh recency on hit; LRU must.
-            let refresh_on_hit = self.config.policy != ReplacementPolicy::Fifo;
-            let clock_now = self.clock;
-            let line = &mut self.sets[set_idx][way];
-            if refresh_on_hit {
-                line.stamp = clock_now;
+        let line = addr >> self.line_shift;
+        if let Some((memo_line, slot)) = self.memo {
+            if memo_line == line {
+                return self.hit(line, slot, write);
             }
+        }
+        let set = (line & self.set_mask) as usize;
+        match self.lookup(set, line) {
+            Some(slot) => {
+                self.mru[set] = slot;
+                self.hit(line, slot, write)
+            }
+            None => self.miss(set, line, write),
+        }
+    }
+
+    #[inline(always)]
+    fn hit(&mut self, line: u64, slot: usize, write: bool) -> AccessOutcome {
+        self.stats.hits += 1;
+        self.memo = Some((line, slot));
+        // FIFO must not refresh recency on hit; LRU must.
+        match self.config.policy {
+            ReplacementPolicy::Fifo => {}
+            ReplacementPolicy::TreePlru => {
+                self.stamps[slot] = self.clock;
+                self.touch_plru(slot);
+            }
+            _ => self.stamps[slot] = self.clock,
+        }
+        let mut writeback = None;
+        if write {
             // Write-through lines are never dirty: the store is forwarded
             // to the next level immediately.
-            line.dirty |= write && !write_through;
-            self.stats.hits += 1;
-            self.touch_plru(set_idx, way);
-            return AccessOutcome {
-                hit: true,
-                writeback: if write && write_through {
-                    Some(line_addr << self.line_shift)
-                } else {
-                    None
-                },
-            };
+            if self.config.write_policy == WritePolicy::WriteThroughNoAllocate {
+                writeback = Some(line << self.line_shift);
+            } else {
+                self.dirty[slot] = true;
+            }
         }
+        AccessOutcome {
+            hit: true,
+            writeback,
+        }
+    }
 
-        // Miss.
+    #[inline(never)]
+    fn miss(&mut self, set: usize, line: u64, write: bool) -> AccessOutcome {
         self.stats.misses += 1;
 
         // No-write-allocate: a write miss bypasses the cache entirely and
         // the store goes straight down (reported via `writeback`).
-        if write && write_through {
+        if write && self.config.write_policy == WritePolicy::WriteThroughNoAllocate {
             return AccessOutcome {
                 hit: false,
-                writeback: Some(line_addr << self.line_shift),
+                writeback: Some(line << self.line_shift),
             };
         }
 
         // Choose a victim and fill.
-        let victim_way = self.choose_victim(set_idx);
-        let clock = self.clock;
-        let line_shift = self.line_shift;
-        let set_bits = self.set_mask.count_ones();
-        let victim = &mut self.sets[set_idx][victim_way];
+        let slot = set * self.ways + self.choose_victim(set);
         let mut writeback = None;
-        if victim.valid {
+        if self.stamps[slot] != 0 {
             self.stats.evictions += 1;
-            if victim.dirty {
+            if self.dirty[slot] {
                 self.stats.writebacks += 1;
-                let victim_line = (victim.tag << set_bits) | set_idx as u64;
-                writeback = Some(victim_line << line_shift);
+                writeback = Some(self.lines[slot] << self.line_shift);
             }
+        } else if !self.listed[set] {
+            self.listed[set] = true;
+            self.touched.push(set);
         }
-        *victim = Line {
-            tag,
-            valid: true,
-            dirty: write && !write_through,
-            stamp: clock,
-        };
-        self.touch_plru(set_idx, victim_way);
+        self.lines[slot] = line;
+        self.stamps[slot] = self.clock;
+        self.dirty[slot] = write;
+        self.mru[set] = slot;
+        self.memo = Some((line, slot));
+        if self.config.policy == ReplacementPolicy::TreePlru {
+            self.touch_plru(slot);
+        }
         AccessOutcome {
             hit: false,
             writeback,
         }
     }
 
+    /// The slot of `set` holding `line`, if it is resident.
+    #[inline(always)]
+    fn lookup(&self, set: usize, line: u64) -> Option<usize> {
+        let mru = self.mru[set];
+        if self.lines[mru] == line && self.stamps[mru] != 0 {
+            return Some(mru);
+        }
+        let base = set * self.ways;
+        let lines = &self.lines[base..base + self.ways];
+        let stamps = &self.stamps[base..base + self.ways];
+        lines
+            .iter()
+            .zip(stamps)
+            .position(|(&l, &stamp)| l == line && stamp != 0)
+            .map(|way| base + way)
+    }
+
     /// True when `addr`'s line is currently resident (does not perturb
     /// statistics or replacement state — an observer, used by tests and by
     /// the noise model).
     pub fn probe_resident(&self, addr: u64) -> bool {
-        let line_addr = addr >> self.line_shift;
-        let set_idx = (line_addr & self.set_mask) as usize;
-        let tag = line_addr >> self.set_mask.count_ones();
-        self.sets[set_idx].iter().any(|l| l.valid && l.tag == tag)
+        let line = addr >> self.line_shift;
+        self.lookup((line & self.set_mask) as usize, line).is_some()
     }
 
     /// Invalidates every line (models a flush; dirty data is dropped).
+    ///
+    /// Only the sets filled since the previous flush can hold a line or
+    /// PLRU state, so only those are reset.
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            for line in set {
-                *line = Line::default();
-            }
+        for &set in &self.touched {
+            let slots = set * self.ways..(set + 1) * self.ways;
+            self.stamps[slots.clone()].fill(0);
+            self.dirty[slots].fill(false);
+            self.plru[set] = 0;
+            self.listed[set] = false;
         }
-        for bits in &mut self.plru {
-            *bits = 0;
-        }
+        self.touched.clear();
+        self.memo = None;
     }
 
     /// Invalidates a deterministic pseudo-random selection of roughly
     /// `fraction` of all lines — models cache pollution by a co-running
-    /// process or a context switch.
+    /// process or a context switch. One draw is taken per way, in
+    /// set-major, way-minor order, whether or not the way is occupied.
     pub fn pollute(&mut self, fraction: f64, seed: u64) {
         let fraction = fraction.clamp(0.0, 1.0);
         let threshold = (fraction * u32::MAX as f64) as u32;
         let mut state = seed | 1;
-        for set in &mut self.sets {
-            for line in set {
-                // xorshift64*
-                state ^= state >> 12;
-                state ^= state << 25;
-                state ^= state >> 27;
-                let draw = (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 32) as u32;
-                if line.valid && draw < threshold {
-                    *line = Line::default();
-                }
+        for (stamp, dirty) in self.stamps.iter_mut().zip(&mut self.dirty) {
+            // xorshift64*
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            let draw = (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 32) as u32;
+            if *stamp != 0 && draw < threshold {
+                *stamp = 0;
+                *dirty = false;
             }
         }
+        self.memo = None;
     }
 
     /// Number of valid lines currently resident.
     pub fn occupancy(&self) -> usize {
-        self.sets
-            .iter()
-            .map(|s| s.iter().filter(|l| l.valid).count())
-            .sum()
+        self.stamps.iter().filter(|&&stamp| stamp != 0).count()
     }
 
     /// Resets statistics without touching cache contents.
@@ -434,36 +488,35 @@ impl Cache {
         self.stats = CacheStats::default();
     }
 
-    fn choose_victim(&mut self, set_idx: usize) -> usize {
-        // Invalid way first, regardless of policy.
-        if let Some(way) = self.sets[set_idx].iter().position(|l| !l.valid) {
-            return way;
-        }
+    fn choose_victim(&mut self, set: usize) -> usize {
+        let stamps = &self.stamps[set * self.ways..(set + 1) * self.ways];
         match self.config.policy {
-            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => {
-                // For LRU the stamp is updated on every touch; for FIFO
-                // only on fill — victim selection is identical.
-                self.sets[set_idx]
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, l)| l.stamp)
-                    .map(|(w, _)| w)
-                    .expect("associativity > 0 by validation")
-            }
-            ReplacementPolicy::Random => {
-                self.rng_state ^= self.rng_state >> 12;
-                self.rng_state ^= self.rng_state << 25;
-                self.rng_state ^= self.rng_state >> 27;
-                (self.rng_state.wrapping_mul(0x2545_F491_4F6C_DD1D) as usize)
-                    % self.config.associativity
-            }
-            ReplacementPolicy::TreePlru => {
-                // Walk the PLRU tree away from recently used halves.
-                let ways = self.config.associativity;
-                let bits = self.plru[set_idx];
+            // For LRU the stamp is updated on every touch; for FIFO only
+            // on fill — victim selection is identical. Empty slots stamp
+            // 0, so the first empty way wins before any resident line.
+            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => stamps
+                .iter()
+                .enumerate()
+                .min_by_key(|&(_, &stamp)| stamp)
+                .map(|(way, _)| way)
+                .expect("associativity > 0 by validation"),
+            _ => {
+                // Empty way first, regardless of policy.
+                if let Some(way) = stamps.iter().position(|&stamp| stamp == 0) {
+                    return way;
+                }
+                if self.config.policy == ReplacementPolicy::Random {
+                    self.rng_state ^= self.rng_state >> 12;
+                    self.rng_state ^= self.rng_state << 25;
+                    self.rng_state ^= self.rng_state >> 27;
+                    return (self.rng_state.wrapping_mul(0x2545_F491_4F6C_DD1D) as usize)
+                        % self.ways;
+                }
+                // Tree PLRU: walk the tree away from recently used halves.
+                let bits = self.plru[set];
                 let mut node = 0usize; // root at index 0 of implicit tree
                 let mut lo = 0usize;
-                let mut hi = ways;
+                let mut hi = self.ways;
                 while hi - lo > 1 {
                     let bit = (bits >> node) & 1;
                     let mid = (lo + hi) / 2;
@@ -481,28 +534,21 @@ impl Cache {
         }
     }
 
-    fn touch_plru(&mut self, set_idx: usize, way: usize) {
-        if self.config.policy != ReplacementPolicy::TreePlru {
-            // FIFO must not refresh stamps on hit; LRU stamps are handled
-            // at the access site.
-            if self.config.policy == ReplacementPolicy::Fifo {
-                // Restore fill-order semantics: nothing to do on touch.
-            }
-            return;
-        }
-        let ways = self.config.associativity;
+    fn touch_plru(&mut self, slot: usize) {
+        let set = slot / self.ways;
+        let way = slot % self.ways;
         let mut node = 0usize;
         let mut lo = 0usize;
-        let mut hi = ways;
+        let mut hi = self.ways;
         while hi - lo > 1 {
             let mid = (lo + hi) / 2;
             if way < mid {
                 // Used left half: set bit to 0 (left recently used).
-                self.plru[set_idx] &= !(1 << node);
+                self.plru[set] &= !(1 << node);
                 node = 2 * node + 1;
                 hi = mid;
             } else {
-                self.plru[set_idx] |= 1 << node;
+                self.plru[set] |= 1 << node;
                 node = 2 * node + 2;
                 lo = mid;
             }
@@ -716,6 +762,20 @@ mod tests {
             let _ = round;
         }
         assert!(c.stats().miss_ratio() > 0.9);
+    }
+
+    #[test]
+    fn one_byte_lines_hit_at_the_top_of_the_address_space() {
+        // A single set of 1-byte lines: every address is its own line and
+        // its own tag, up to u64::MAX. No tag value may mean "empty".
+        let mut c = Cache::new(CacheConfig::new(4, 4, 1)).unwrap();
+        for addr in [u64::MAX, u64::MAX - 1] {
+            assert!(!c.access(addr, false).hit);
+            assert!(c.access(addr, false).hit, "repeat of {addr:#x}");
+            assert!(c.probe_resident(addr));
+        }
+        assert!(c.access(u64::MAX, true).hit);
+        assert_eq!(c.occupancy(), 2);
     }
 
     #[test]

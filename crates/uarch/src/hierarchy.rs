@@ -127,6 +127,8 @@ pub struct MemoryHierarchy {
     l3: Cache,
     latency: LatencyModel,
     prefetcher: Option<Box<dyn Prefetcher + Send>>,
+    /// Reused buffer the prefetcher writes its targets into.
+    prefetch_targets: Vec<u64>,
     stats_llc_references: u64,
     stats_llc_misses: u64,
     stats_prefetches: u64,
@@ -158,6 +160,7 @@ impl MemoryHierarchy {
             l3: Cache::new(config.l3)?,
             latency: config.latency,
             prefetcher: config.prefetcher.build(config.l2.line_bytes),
+            prefetch_targets: Vec::new(),
             stats_llc_references: 0,
             stats_llc_misses: 0,
             stats_prefetches: 0,
@@ -167,29 +170,14 @@ impl MemoryHierarchy {
 
     /// A demand access from the core. `pc` identifies the load/store site
     /// for the prefetcher. Returns the level that served the access.
+    #[inline]
     pub fn access(&mut self, addr: u64, write: bool, pc: u64) -> ServedBy {
         let l1 = self.l1d.access(addr, write);
-        let mut served = ServedBy::L1;
-        if !l1.hit {
-            let l2 = self.l2.access(addr, false);
-            if l2.hit {
-                served = ServedBy::L2;
-            } else {
-                self.stats_llc_references += 1;
-                let l3 = self.l3.access(addr, false);
-                if l3.hit {
-                    served = ServedBy::L3;
-                } else {
-                    self.stats_llc_misses += 1;
-                    served = ServedBy::Dram;
-                }
-            }
-            // Writebacks of dirty L1 victims land in L2 (write-back,
-            // write-allocate); model as an L2 store.
-            if let Some(wb) = l1.writeback {
-                self.l2.access(wb, true);
-            }
-        }
+        let served = if l1.hit {
+            ServedBy::L1
+        } else {
+            self.below_l1(addr, l1.writeback)
+        };
         self.stats_demand_cycles += self.latency.for_level(served);
 
         // Prefetcher observes the demand stream and fills L2/L3. A
@@ -197,8 +185,9 @@ impl MemoryHierarchy {
         // so it counts toward `cache-misses` exactly as on real PMUs —
         // prefetching hides *latency*, not *traffic*.
         if let Some(pf) = self.prefetcher.as_mut() {
-            let targets = pf.observe(pc, addr, !l1.hit);
-            for t in targets {
+            self.prefetch_targets.clear();
+            pf.observe(pc, addr, !l1.hit, &mut self.prefetch_targets);
+            for &t in &self.prefetch_targets {
                 self.stats_prefetches += 1;
                 self.stats_llc_references += 1;
                 let l3 = self.l3.access(t, false);
@@ -207,6 +196,29 @@ impl MemoryHierarchy {
                 }
                 self.l2.access(t, false);
             }
+        }
+        served
+    }
+
+    /// The rest of a demand access that missed L1: looks the line up in
+    /// L2, then the LLC, and lands L1's dirty victim (`writeback`) in L2.
+    #[inline(never)]
+    fn below_l1(&mut self, addr: u64, writeback: Option<u64>) -> ServedBy {
+        let served = if self.l2.access(addr, false).hit {
+            ServedBy::L2
+        } else {
+            self.stats_llc_references += 1;
+            if self.l3.access(addr, false).hit {
+                ServedBy::L3
+            } else {
+                self.stats_llc_misses += 1;
+                ServedBy::Dram
+            }
+        };
+        // Writebacks of dirty L1 victims land in L2 (write-back,
+        // write-allocate); model as an L2 store.
+        if let Some(wb) = writeback {
+            self.l2.access(wb, true);
         }
         served
     }

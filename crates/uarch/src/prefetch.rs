@@ -43,8 +43,10 @@ impl PrefetcherKind {
 /// A prefetcher that proposes addresses to preload.
 pub trait Prefetcher {
     /// Observes a demand access (`pc` identifies the load site) and
-    /// returns the byte addresses the hierarchy should prefetch.
-    fn observe(&mut self, pc: u64, addr: u64, miss: bool) -> Vec<u64>;
+    /// appends the byte addresses the hierarchy should prefetch to
+    /// `targets` (a buffer the caller owns and reuses, so the per-access
+    /// path allocates nothing).
+    fn observe(&mut self, pc: u64, addr: u64, miss: bool, targets: &mut Vec<u64>);
 
     /// Number of prefetches issued so far.
     fn issued(&self) -> u64;
@@ -68,12 +70,10 @@ impl NextLinePrefetcher {
 }
 
 impl Prefetcher for NextLinePrefetcher {
-    fn observe(&mut self, _pc: u64, addr: u64, miss: bool) -> Vec<u64> {
+    fn observe(&mut self, _pc: u64, addr: u64, miss: bool, targets: &mut Vec<u64>) {
         if miss {
             self.issued += 1;
-            vec![(addr & !(self.line_bytes - 1)) + self.line_bytes]
-        } else {
-            Vec::new()
+            targets.push((addr & !(self.line_bytes - 1)) + self.line_bytes);
         }
     }
 
@@ -121,7 +121,7 @@ impl StridePrefetcher {
 }
 
 impl Prefetcher for StridePrefetcher {
-    fn observe(&mut self, pc: u64, addr: u64, _miss: bool) -> Vec<u64> {
+    fn observe(&mut self, pc: u64, addr: u64, _miss: bool, targets: &mut Vec<u64>) {
         let idx = (pc & self.mask) as usize;
         let e = &mut self.table[idx];
         if !e.valid || e.pc != pc {
@@ -132,7 +132,7 @@ impl Prefetcher for StridePrefetcher {
                 confidence: 0,
                 valid: true,
             };
-            return Vec::new();
+            return;
         }
         let stride = addr as i64 - e.last_addr as i64;
         if stride == e.stride && stride != 0 {
@@ -143,17 +143,13 @@ impl Prefetcher for StridePrefetcher {
         }
         e.last_addr = addr;
         if e.confidence >= 2 {
-            let mut out = Vec::with_capacity(self.degree);
             for d in 1..=self.degree {
                 let target = addr as i64 + e.stride * d as i64;
                 if target >= 0 {
-                    out.push(target as u64);
+                    targets.push(target as u64);
+                    self.issued += 1;
                 }
             }
-            self.issued += out.len() as u64;
-            out
-        } else {
-            Vec::new()
         }
     }
 
@@ -177,11 +173,18 @@ impl PrefetcherKind {
 mod tests {
     use super::*;
 
+    /// The targets one observation appends to an empty buffer.
+    fn observe(p: &mut impl Prefetcher, pc: u64, addr: u64, miss: bool) -> Vec<u64> {
+        let mut targets = Vec::new();
+        p.observe(pc, addr, miss, &mut targets);
+        targets
+    }
+
     #[test]
     fn next_line_on_miss_only() {
         let mut p = NextLinePrefetcher::new(64);
-        assert_eq!(p.observe(0, 100, false), Vec::<u64>::new());
-        assert_eq!(p.observe(0, 100, true), vec![128]);
+        assert_eq!(observe(&mut p, 0, 100, false), Vec::<u64>::new());
+        assert_eq!(observe(&mut p, 0, 100, true), vec![128]);
         assert_eq!(p.issued(), 1);
     }
 
@@ -190,10 +193,10 @@ mod tests {
         let mut p = StridePrefetcher::new(4, 2);
         let pc = 0x40;
         // Accesses with stride 64: needs 3 observations to gain confidence.
-        assert!(p.observe(pc, 0, true).is_empty());
-        assert!(p.observe(pc, 64, true).is_empty());
-        assert!(p.observe(pc, 128, true).is_empty());
-        let out = p.observe(pc, 192, true);
+        assert!(observe(&mut p, pc, 0, true).is_empty());
+        assert!(observe(&mut p, pc, 64, true).is_empty());
+        assert!(observe(&mut p, pc, 128, true).is_empty());
+        let out = observe(&mut p, pc, 192, true);
         assert_eq!(out, vec![256, 320]);
         assert_eq!(p.issued(), 2);
     }
@@ -203,13 +206,13 @@ mod tests {
         let mut p = StridePrefetcher::new(4, 1);
         let pc = 0x40;
         for i in 0..5u64 {
-            p.observe(pc, i * 64, true);
+            observe(&mut p, pc, i * 64, true);
         }
         assert!(p.issued() > 0);
         let before = p.issued();
         // Random jumps: confidence collapses, no more prefetches.
-        assert!(p.observe(pc, 10_000, true).is_empty());
-        assert!(p.observe(pc, 3, true).is_empty());
+        assert!(observe(&mut p, pc, 10_000, true).is_empty());
+        assert!(observe(&mut p, pc, 3, true).is_empty());
         assert_eq!(p.issued(), before);
     }
 
@@ -217,7 +220,7 @@ mod tests {
     fn stride_zero_never_prefetches() {
         let mut p = StridePrefetcher::new(4, 2);
         for _ in 0..10 {
-            assert!(p.observe(0x40, 512, true).is_empty());
+            assert!(observe(&mut p, 0x40, 512, true).is_empty());
         }
     }
 
@@ -225,11 +228,11 @@ mod tests {
     fn distinct_pcs_tracked_separately() {
         let mut p = StridePrefetcher::new(4, 1);
         for i in 0..4u64 {
-            p.observe(0x40, i * 64, true);
-            p.observe(0x41, i * 128, true);
+            observe(&mut p, 0x40, i * 64, true);
+            observe(&mut p, 0x41, i * 128, true);
         }
-        let a = p.observe(0x40, 4 * 64, true);
-        let b = p.observe(0x41, 4 * 128, true);
+        let a = observe(&mut p, 0x40, 4 * 64, true);
+        let b = observe(&mut p, 0x41, 4 * 128, true);
         assert_eq!(a, vec![5 * 64]);
         assert_eq!(b, vec![5 * 128]);
     }

@@ -45,14 +45,11 @@ impl TlbStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Entry {
-    vpn: u64,
-    valid: bool,
-    stamp: u64,
-}
-
 /// A set-associative, LRU TLB.
+///
+/// Like [`Cache`](crate::cache::Cache), the entries are flat and
+/// set-major: way `w` of set `s` is slot `s * associativity + w` of the
+/// page-number and stamp arrays, and a stamp of 0 marks an empty slot.
 ///
 /// # Examples
 ///
@@ -66,7 +63,14 @@ struct Entry {
 #[derive(Debug, Clone)]
 pub struct Tlb {
     config: TlbConfig,
-    sets: Vec<Vec<Entry>>,
+    ways: usize,
+    /// Virtual page number per slot.
+    pages: Vec<u64>,
+    /// LRU timestamp per slot; 0 marks an empty slot.
+    stamps: Vec<u64>,
+    /// The last page translated and its slot, while that slot still
+    /// holds it. Every fill and flush replaces or clears it.
+    memo: Option<(u64, usize)>,
     stats: TlbStats,
     clock: u64,
     page_shift: u32,
@@ -97,7 +101,10 @@ impl Tlb {
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         Tlb {
             config,
-            sets: vec![vec![Entry::default(); config.associativity]; sets],
+            ways: config.associativity,
+            pages: vec![0; config.entries],
+            stamps: vec![0; config.entries],
+            memo: None,
             stats: TlbStats::default(),
             clock: 0,
             page_shift: config.page_bytes.trailing_zeros(),
@@ -107,42 +114,54 @@ impl Tlb {
 
     /// Translates `addr`, returning `true` on a TLB hit. Misses install the
     /// page with LRU replacement.
+    #[inline]
     pub fn translate(&mut self, addr: u64) -> bool {
         self.clock += 1;
         self.stats.accesses += 1;
         let vpn = addr >> self.page_shift;
-        let set_idx = (vpn & self.set_mask) as usize;
-        let clock = self.clock;
-
-        if let Some(e) = self.sets[set_idx]
-            .iter_mut()
-            .find(|e| e.valid && e.vpn == vpn)
-        {
-            e.stamp = clock;
-            self.stats.hits += 1;
-            return true;
+        if let Some((page, slot)) = self.memo {
+            if page == vpn {
+                self.stamps[slot] = self.clock;
+                self.stats.hits += 1;
+                return true;
+            }
         }
-
-        self.stats.misses += 1;
-        let victim = self.sets[set_idx]
-            .iter_mut()
-            .min_by_key(|e| if e.valid { e.stamp } else { 0 })
-            .expect("associativity > 0");
-        *victim = Entry {
-            vpn,
-            valid: true,
-            stamp: clock,
+        let base = (vpn & self.set_mask) as usize * self.ways;
+        let pages = &self.pages[base..base + self.ways];
+        let stamps = &self.stamps[base..base + self.ways];
+        let (slot, hit) = match pages
+            .iter()
+            .zip(stamps)
+            .position(|(&p, &stamp)| p == vpn && stamp != 0)
+        {
+            Some(way) => (base + way, true),
+            None => {
+                // Empty slots stamp 0, so the first empty way is taken
+                // before the least recently used entry.
+                let way = stamps
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|&(_, &stamp)| stamp)
+                    .map(|(way, _)| way)
+                    .expect("associativity > 0");
+                (base + way, false)
+            }
         };
-        false
+        if hit {
+            self.stats.hits += 1;
+        } else {
+            self.stats.misses += 1;
+            self.pages[slot] = vpn;
+        }
+        self.stamps[slot] = self.clock;
+        self.memo = Some((vpn, slot));
+        hit
     }
 
     /// Invalidates every entry (context switch without PCID).
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            for e in set {
-                *e = Entry::default();
-            }
-        }
+        self.stamps.fill(0);
+        self.memo = None;
     }
 
     /// Statistics so far.
@@ -209,6 +228,20 @@ mod tests {
         let s = *tlb.stats();
         assert_eq!(s.hits + s.misses, s.accesses);
         assert!(s.miss_ratio() > 0.0);
+    }
+
+    #[test]
+    fn one_byte_pages_hit_at_the_top_of_the_address_space() {
+        let mut tlb = Tlb::new(TlbConfig {
+            entries: 4,
+            associativity: 4,
+            page_bytes: 1,
+        });
+        for addr in [u64::MAX, u64::MAX - 1] {
+            assert!(!tlb.translate(addr));
+            assert!(tlb.translate(addr), "repeat of {addr:#x}");
+        }
+        assert!(tlb.translate(u64::MAX));
     }
 
     #[test]
